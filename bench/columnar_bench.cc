@@ -1,10 +1,11 @@
 // Columnar kernel microbench (DESIGN.md §17): each hot-path kernel —
 // selection, map, projection, grouped tumbling aggregate, and the
-// three-operator chain — measured row-wise vs columnar on the same graph,
+// three-operator chain — measured per-tuple vs columnar on the same graph,
 // same pre-materialized input, same kDirect single-thread engine. The
-// only variable is EngineOptions::columnar: sources either bundle rows
-// into TupleBatches (row) or scatter them into typed, arena-backed
-// ColumnarBatches that the typed kernels consume in place (columnar).
+// only variable is EngineOptions::emit_batch_size: sources either push
+// every element downstream on its own (per-tuple, size 1) or scatter 64
+// into a typed, arena-backed ColumnarBatch that the typed kernels consume
+// in place (columnar).
 //
 // Besides throughput, every run reports *allocations per tuple*: a
 // counting global operator new measures heap traffic across the feed
@@ -14,8 +15,8 @@
 // batches recycled through the pool — as about cycles.
 //
 // Payloads: small = {int64, int64}; string = {int64, 26-byte string}
-// (past Value's SSO buffer, so the row path pays a real heap string per
-// copy and the columnar path pays an arena append).
+// (past Value's SSO buffer, so the per-tuple path pays a real heap string
+// per copy and the columnar path pays an arena append).
 //
 // Results go to stdout and BENCH_columnar.json (override: --out <path>).
 
@@ -100,9 +101,9 @@ struct Pipeline {
 };
 
 /// src -> kernel(s) -> counting sink. Every operator is built in its
-/// typed-column form, so the row runs exercise the synthesized row
-/// wrappers — the exact fallback the engine uses — and the columnar runs
-/// exercise the vectorized kernels, with identical answers.
+/// typed-column form, so the per-tuple runs exercise the synthesized row
+/// wrappers and the columnar runs exercise the vectorized kernels, with
+/// identical answers.
 void BuildPipeline(Pipeline* p, Kernel kernel, bool string_payload) {
   QueryBuilder qb(&p->graph);
   p->src = qb.AddSource("src");
@@ -185,8 +186,7 @@ RunResult RunOnce(Kernel kernel, bool string_payload, bool columnar,
   StreamEngine engine(&p.graph);
   EngineOptions options;
   options.mode = ExecutionMode::kDirect;
-  options.emit_batch_size = kBatch;
-  options.columnar = columnar;
+  options.emit_batch_size = columnar ? kBatch : 1;
   CHECK_OK(engine.Configure(options));
   CHECK_OK(engine.Start());
 
@@ -206,7 +206,7 @@ RunResult RunOnce(Kernel kernel, bool string_payload, bool columnar,
   r.kernel = KernelName(kernel);
   r.payload = string_payload ? "string" : "small";
   r.columnar = columnar;
-  r.scenario = r.kernel + "_" + r.payload + (columnar ? "_col" : "_row");
+  r.scenario = r.kernel + "_" + r.payload + (columnar ? "_col" : "_tuple");
   r.tuples = total;
   r.sink_count = p.sink->count();
   r.seconds = seconds;
@@ -263,28 +263,29 @@ int main(int argc, char** argv) {
       {Kernel::kChain, false},     {Kernel::kChain, true},
   };
 
-  // Best-of-N, row/columnar interleaved per rep so drifting background
-  // load on a shared box hits both variants alike. Allocation counts are
-  // deterministic — taken from the first rep and sanity-checked stable.
+  // Best-of-N, per-tuple/columnar interleaved per rep so drifting
+  // background load on a shared box hits both variants alike. Allocation
+  // counts are deterministic — taken from the first rep and sanity-checked
+  // stable.
   std::vector<RunResult> results;
   for (const Scenario& s : scenarios) {
-    RunResult best_row, best_col;
+    RunResult best_tuple, best_col;
     for (int rep = 0; rep < reps; ++rep) {
-      RunResult row = RunOnce(s.kernel, s.string_payload, false, total);
+      RunResult tuple = RunOnce(s.kernel, s.string_payload, false, total);
       RunResult col = RunOnce(s.kernel, s.string_payload, true, total);
-      if (rep == 0 || row.tuples_per_sec > best_row.tuples_per_sec) {
-        best_row = row;
+      if (rep == 0 || tuple.tuples_per_sec > best_tuple.tuples_per_sec) {
+        best_tuple = tuple;
       }
       if (rep == 0 || col.tuples_per_sec > best_col.tuples_per_sec) {
         best_col = col;
       }
     }
-    // Same input, same operators: the representation must not change the
+    // Same input, same operators: the delivery unit must not change the
     // answer.
-    CHECK(best_row.sink_count == best_col.sink_count)
-        << best_row.scenario << ": row " << best_row.sink_count
+    CHECK(best_tuple.sink_count == best_col.sink_count)
+        << best_tuple.scenario << ": per-tuple " << best_tuple.sink_count
         << " vs columnar " << best_col.sink_count;
-    results.push_back(best_row);
+    results.push_back(best_tuple);
     results.push_back(best_col);
   }
 
@@ -300,12 +301,12 @@ int main(int argc, char** argv) {
 
   std::vector<std::pair<std::string, double>> ratios;
   for (size_t i = 0; i + 1 < results.size(); i += 2) {
-    const RunResult& row = results[i];
+    const RunResult& tuple = results[i];
     const RunResult& col = results[i + 1];
     ratios.emplace_back(col.kernel + "_" + col.payload,
-                        col.tuples_per_sec / row.tuples_per_sec);
+                        col.tuples_per_sec / tuple.tuples_per_sec);
   }
-  std::cout << "\n-- columnar / row throughput ratios --\n";
+  std::cout << "\n-- columnar / per-tuple throughput ratios --\n";
   for (const auto& [name, value] : ratios) {
     std::cout << "  " << name << ": " << Table::Num(value, 2) << "x\n";
   }

@@ -71,7 +71,6 @@ struct BenchRow {
   std::string config;
   size_t batch = 1;
   size_t shards = 1;
-  bool columnar = false;
   double seconds = 0.0;
   int64_t results = 0;
   Histogram lat;
@@ -79,7 +78,7 @@ struct BenchRow {
 
 BenchRow RunOne(Query query, const std::string& config_name,
                 ExecutionMode mode, StrategyKind strategy, size_t batch,
-                size_t shards, bool columnar) {
+                size_t shards) {
   QueryGraph graph;
   const TimePoint epoch = Now();
   nexmark::NexmarkConfig cfg;
@@ -119,7 +118,6 @@ BenchRow RunOne(Query query, const std::string& config_name,
   opt.mode = mode;
   opt.strategy = strategy;
   opt.emit_batch_size = batch;
-  opt.columnar = columnar;
   CHECK_OK(engine.Configure(opt));
   CHECK_OK(engine.Start());
 
@@ -154,7 +152,6 @@ BenchRow RunOne(Query query, const std::string& config_name,
   row.config = config_name;
   row.batch = batch;
   row.shards = shards;
-  row.columnar = columnar;
   row.seconds = seconds;
   row.results = h.results->count();
   row.lat = h.latency->SnapshotHistogram();
@@ -245,25 +242,16 @@ int main(int argc, char** argv) {
     size_t batch;
     size_t shards;
     bool needs_shardable;
-    bool columnar;
   };
-  // ots-b64-col is ots-b64 with the columnar batch layer on top
-  // (EngineOptions::columnar, DESIGN.md §17): typed ColumnarBatches from
-  // the sources, the vectorized q2 filter kernel and the typed-key join
-  // probe, boxed batches through the queues.
+  // ots-b64 runs the columnar batch path (DESIGN.md §17): typed
+  // ColumnarBatches from the sources, the vectorized q2 filter kernel and
+  // the typed-key join probe, boxed batches through the queues.
   const std::vector<Config> configs = {
-      {"gts-b1", ExecutionMode::kGts, StrategyKind::kFifo, 1, 1, false,
-       false},
-      {"ots-b1", ExecutionMode::kOts, StrategyKind::kFifo, 1, 1, false,
-       false},
-      {"hmts-b1", ExecutionMode::kHmts, StrategyKind::kFifo, 1, 1, false,
-       false},
-      {"ots-b64", ExecutionMode::kOts, StrategyKind::kFifo, 64, 1, false,
-       false},
-      {"ots-b64-col", ExecutionMode::kOts, StrategyKind::kFifo, 64, 1, false,
-       true},
-      {"ots-b1-s4", ExecutionMode::kOts, StrategyKind::kFifo, 1, 4, true,
-       false},
+      {"gts-b1", ExecutionMode::kGts, StrategyKind::kFifo, 1, 1, false},
+      {"ots-b1", ExecutionMode::kOts, StrategyKind::kFifo, 1, 1, false},
+      {"hmts-b1", ExecutionMode::kHmts, StrategyKind::kFifo, 1, 1, false},
+      {"ots-b64", ExecutionMode::kOts, StrategyKind::kFifo, 64, 1, false},
+      {"ots-b1-s4", ExecutionMode::kOts, StrategyKind::kFifo, 1, 4, true},
   };
   const Query queries[] = {Query::kCurrency, Query::kFilter,
                            Query::kHotItems, Query::kJoin};
@@ -273,8 +261,8 @@ int main(int argc, char** argv) {
     const bool shardable = (q == Query::kHotItems || q == Query::kJoin);
     for (const Config& c : configs) {
       if (c.needs_shardable && !shardable) continue;
-      rows.push_back(RunOne(q, c.name, c.mode, c.strategy, c.batch, c.shards,
-                            c.columnar));
+      rows.push_back(
+          RunOne(q, c.name, c.mode, c.strategy, c.batch, c.shards));
       std::cout << QueryName(q) << "/" << c.name << " done\n";
     }
   }
@@ -320,7 +308,6 @@ int main(int argc, char** argv) {
     out << "    {\"query\": \"" << r.query << "\", \"config\": \""
         << r.config << "\", \"batch\": " << r.batch
         << ", \"shards\": " << r.shards
-        << ", \"columnar\": " << (r.columnar ? 1 : 0)
         << ", \"seconds\": " << r.seconds
         << ", \"results\": " << r.results
         << ", \"lat_count\": " << r.lat.count()

@@ -1,4 +1,4 @@
-// End-to-end pipeline throughput: the batch execution path (DESIGN.md §11)
+// End-to-end pipeline throughput: the columnar batch path (DESIGN.md §17)
 // against per-tuple delivery on a realistic operator chain.
 //
 //   source -> selection (keep half) -> projection (identity)
@@ -15,12 +15,10 @@
 //   batch1    : emit_batch_size = 1. Must be indistinguishable from
 //               per_tuple (the engine keeps the per-tuple path), guarding
 //               against the batch plumbing taxing the default path.
-//   batch64   : sources bundle 64 elements per TupleBatch and queues
-//               deliver each drained run as one ReceiveBatch call.
-//   batch64_col : EngineOptions::columnar (DESIGN.md §17) — sources
-//               scatter 64 elements into typed ColumnarBatches, the
-//               selection/map run as typed column kernels, and queues box
-//               whole batches; no per-tuple Value vectors on the hot path.
+//   batch64   : sources scatter 64 elements into typed ColumnarBatches,
+//               the selection/map run as typed column kernels, and queues
+//               box whole batches; no per-tuple Value vectors on the hot
+//               path.
 //
 // Input tuples are materialized before the clock starts; the stopwatch
 // covers feeding through WaitUntilFinished, so it measures transfer +
@@ -62,7 +60,7 @@ void BuildPipeline(Pipeline* p, bool string_payload) {
   QueryBuilder qb(&p->graph);
   p->src = qb.AddSource("src");
   // Typed-column forms: identical answers on the row path (synthesized
-  // row wrappers), vectorized kernels when the engine runs columnar.
+  // row wrappers), vectorized kernels when the engine batches.
   p->src->DeclareOutputSchema(
       string_payload ? MakeSchema({Value::Type::kInt64, Value::Type::kString})
                      : MakeSchema({Value::Type::kInt64}));
@@ -101,7 +99,6 @@ struct RunResult {
   std::string mode;
   std::string payload;
   size_t emit_batch_size = 0;  // 0 = per-tuple baseline (default options)
-  bool columnar = false;
   size_t threads = 0;
   int64_t tuples = 0;
   int64_t sink_count = 0;
@@ -110,7 +107,7 @@ struct RunResult {
 };
 
 RunResult RunOnce(ExecutionMode mode, bool string_payload,
-                  size_t emit_batch_size, bool columnar, int64_t total) {
+                  size_t emit_batch_size, int64_t total) {
   Pipeline p;
   BuildPipeline(&p, string_payload);
   std::vector<Tuple> input = MakeInput(string_payload, total);
@@ -119,7 +116,6 @@ RunResult RunOnce(ExecutionMode mode, bool string_payload,
   EngineOptions options;
   options.mode = mode;
   if (emit_batch_size > 0) options.emit_batch_size = emit_batch_size;
-  options.columnar = columnar;
   CHECK_OK(engine.Configure(options));
 
   Stopwatch sw;
@@ -136,12 +132,10 @@ RunResult RunOnce(ExecutionMode mode, bool string_payload,
   r.mode = ExecutionModeToString(mode);
   r.payload = string_payload ? "string" : "small";
   r.emit_batch_size = emit_batch_size;
-  r.columnar = columnar;
   r.scenario = r.mode + "_" + std::to_string(threads) + "t_" + r.payload +
                (emit_batch_size == 0
                     ? "_per_tuple"
-                    : "_batch" + std::to_string(emit_batch_size)) +
-               (columnar ? "_col" : "");
+                    : "_batch" + std::to_string(emit_batch_size));
   r.threads = threads;
   r.tuples = total;
   r.sink_count = p.sink->count();
@@ -161,7 +155,6 @@ void WriteJson(const std::vector<RunResult>& results,
     out << "    {\"scenario\": \"" << r.scenario << "\", \"mode\": \""
         << r.mode << "\", \"payload\": \"" << r.payload
         << "\", \"emit_batch_size\": " << r.emit_batch_size
-        << ", \"columnar\": " << (r.columnar ? 1 : 0)
         << ", \"threads\": " << r.threads << ", \"tuples\": " << r.tuples
         << ", \"sink_count\": " << r.sink_count
         << ", \"seconds\": " << r.seconds << ", \"tuples_per_sec\": "
@@ -212,17 +205,11 @@ int Main(int argc, char** argv) {
   std::vector<RunResult> results;
   auto run_scenario = [&](ExecutionMode mode, bool string_payload,
                           int64_t total) {
-    struct Variant {
-      size_t batch;
-      bool columnar;
-    };
-    const std::vector<Variant> variants = {
-        {0, false}, {1, false}, {64, false}, {64, true}};
+    const std::vector<size_t> variants = {0, 1, 64};
     std::vector<RunResult> best(variants.size());
     for (int rep = 0; rep < reps; ++rep) {
       for (size_t v = 0; v < variants.size(); ++v) {
-        RunResult r = RunOnce(mode, string_payload, variants[v].batch,
-                              variants[v].columnar, total);
+        RunResult r = RunOnce(mode, string_payload, variants[v], total);
         if (rep == 0 || r.tuples_per_sec > best[v].tuples_per_sec) {
           if (rep > 0) {
             CHECK(r.sink_count == best[v].sink_count)
@@ -247,11 +234,10 @@ int Main(int argc, char** argv) {
     run_scenario(ExecutionMode::kOts, string_payload, total);
   }
 
-  Table t({"scenario", "payload", "batch", "col", "threads", "tuples",
-           "wall_s", "tuples_per_sec"});
+  Table t({"scenario", "payload", "batch", "threads", "tuples", "wall_s",
+           "tuples_per_sec"});
   for (const RunResult& r : results) {
     t.AddRow({r.scenario, r.payload, Table::Int(r.emit_batch_size),
-              r.columnar ? "yes" : "no",
               Table::Int(r.threads), Table::Int(r.tuples),
               Table::Num(r.seconds, 3),
               Table::Int(static_cast<int64_t>(r.tuples_per_sec))});
@@ -276,22 +262,6 @@ int Main(int argc, char** argv) {
        rate_of("ots_4t_small_batch64") / rate_of("ots_4t_small_per_tuple")},
       {"batch64_vs_per_tuple_string_4t",
        rate_of("ots_4t_string_batch64") / rate_of("ots_4t_string_per_tuple")},
-      // Columnar vs the row-wise batch path at the same batch size — the
-      // representation win alone (DESIGN.md §17 targets: >= 2x small,
-      // >= 1.5x string on the 1-thread chain).
-      {"columnar64_vs_batch64_small_1t",
-       rate_of("gts_1t_small_batch64_col") / rate_of("gts_1t_small_batch64")},
-      {"columnar64_vs_batch64_string_1t",
-       rate_of("gts_1t_string_batch64_col") /
-           rate_of("gts_1t_string_batch64")},
-      {"columnar64_vs_batch64_small_4t",
-       rate_of("ots_4t_small_batch64_col") / rate_of("ots_4t_small_batch64")},
-      {"columnar64_vs_batch64_string_4t",
-       rate_of("ots_4t_string_batch64_col") /
-           rate_of("ots_4t_string_batch64")},
-      {"columnar64_vs_per_tuple_small_1t",
-       rate_of("gts_1t_small_batch64_col") /
-           rate_of("gts_1t_small_per_tuple")},
   };
   std::cout << "\n-- throughput ratios --\n";
   for (const auto& [name, value] : ratios) {

@@ -336,57 +336,46 @@ Status StreamEngine::Configure(const EngineOptions& options) {
                       options.block_wait_timeout);
     }
   }
-  // Batch execution path (DESIGN.md §11): sources accumulate pushes into
-  // TupleBatches and the placed queues forward each drained run as one
-  // downstream ReceiveBatch call. A batch size of 1 (the default) keeps
-  // the per-tuple path everywhere.
+  // Batch execution path (DESIGN.md §17): sources scatter pushes into
+  // ColumnarBatches, unbounded queues box them and bounded ones unbundle
+  // them at the door. A batch size of 1 (the default) keeps the per-tuple
+  // path everywhere.
   for (Node* node : graph_->nodes()) {
     if (Source* source = dynamic_cast<Source*>(node)) {
-      source->SetEmitBatchSize(options.emit_batch_size);
+      source->SetBatchSize(options.emit_batch_size);
     }
   }
-  if (options.emit_batch_size > 1) {
-    for (QueueOp* queue : queues_) queue->SetBatchDelivery(true);
-  }
-  // Columnar batch layer (DESIGN.md §17): sources scatter into typed
-  // ColumnarBatches and declared schemas are pushed through the topology
-  // in topological order so downstream operators know their column layout
-  // at configure time. Purely advisory — batches are self-describing, so
-  // a missing schema only costs the typed fast path, never correctness.
-  if (options.columnar && options.emit_batch_size > 1) {
-    for (Node* node : graph_->nodes()) {
-      if (Source* source = dynamic_cast<Source*>(node)) {
-        source->SetColumnarEmit(true);
-      }
-    }
-    Result<std::vector<Node*>> topo = graph_->TopologicalOrder();
-    if (topo.ok()) {
-      for (Node* node : *topo) {
-        Operator* op = dynamic_cast<Operator*>(node);
-        if (op == nullptr) continue;
-        if (!node->is_source() && op->static_output_schema() == nullptr) {
-          // Collect per-port input schemas from the already-visited
-          // upstream nodes (nullptr where unknown).
-          std::vector<SchemaPtr> input_schemas;
-          for (const Node::InEdge& in : node->inputs()) {
-            SchemaPtr upstream_schema;
-            if (Operator* up = dynamic_cast<Operator*>(in.source)) {
-              upstream_schema = up->static_output_schema();
-            }
-            const size_t port = in.port < 0 ? 0 : static_cast<size_t>(in.port);
-            if (input_schemas.size() <= port) {
-              input_schemas.resize(port + 1);
-            }
-            if (input_schemas[port] == nullptr) {
-              input_schemas[port] = std::move(upstream_schema);
-            } else if (upstream_schema != nullptr &&
-                       *input_schemas[port] != *upstream_schema) {
-              // Conflicting producers on one port: no static schema.
-              input_schemas[port] = nullptr;
-            }
+  // Declared source schemas are pushed through the topology in
+  // topological order so downstream operators know their column layout at
+  // configure time. Purely advisory — batches are self-describing, so a
+  // missing schema only costs the typed fast path, never correctness.
+  Result<std::vector<Node*>> topo = graph_->TopologicalOrder();
+  if (topo.ok()) {
+    for (Node* node : *topo) {
+      Operator* op = dynamic_cast<Operator*>(node);
+      if (op == nullptr) continue;
+      if (!node->is_source() && op->static_output_schema() == nullptr) {
+        // Collect per-port input schemas from the already-visited
+        // upstream nodes (nullptr where unknown).
+        std::vector<SchemaPtr> input_schemas;
+        for (const Node::InEdge& in : node->inputs()) {
+          SchemaPtr upstream_schema;
+          if (Operator* up = dynamic_cast<Operator*>(in.source)) {
+            upstream_schema = up->static_output_schema();
           }
-          op->SetStaticOutputSchema(op->InferOutputSchema(input_schemas));
+          const size_t port = in.port < 0 ? 0 : static_cast<size_t>(in.port);
+          if (input_schemas.size() <= port) {
+            input_schemas.resize(port + 1);
+          }
+          if (input_schemas[port] == nullptr) {
+            input_schemas[port] = std::move(upstream_schema);
+          } else if (upstream_schema != nullptr &&
+                     *input_schemas[port] != *upstream_schema) {
+            // Conflicting producers on one port: no static schema.
+            input_schemas[port] = nullptr;
+          }
         }
+        op->SetStaticOutputSchema(op->InferOutputSchema(input_schemas));
       }
     }
   }
@@ -632,24 +621,23 @@ Status StreamEngine::SetMaxRunningThreads(int max_running) {
   return Status::Ok();
 }
 
-Status StreamEngine::SetEmitBatchSizeLive(size_t batch_size) {
+Status StreamEngine::SetBatchSizeLive(size_t batch_size) {
   std::lock_guard<std::mutex> lock(actuation_mutex_);
   if (recovering()) {
     return Status::FailedPrecondition(
-        "SetEmitBatchSizeLive refused: a recovery attempt is in flight; "
+        "SetBatchSizeLive refused: a recovery attempt is in flight; "
         "retry after it completes");
   }
   if (!configured_) {
     return Status::FailedPrecondition(
-        "SetEmitBatchSizeLive refused: engine is not configured");
+        "SetBatchSizeLive refused: engine is not configured");
   }
   if (batch_size == 0) batch_size = 1;
   for (Node* node : graph_->nodes()) {
     if (Source* source = dynamic_cast<Source*>(node)) {
-      source->RequestEmitBatchSize(batch_size);
+      source->RequestBatchSize(batch_size);
     }
   }
-  for (QueueOp* queue : queues_) queue->SetBatchDelivery(batch_size > 1);
   options_.emit_batch_size = batch_size;
   return Status::Ok();
 }
@@ -762,8 +750,7 @@ Status StreamEngine::Deconfigure() {
   // below sees every element.
   for (Node* node : graph_->nodes()) {
     if (Source* source = dynamic_cast<Source*>(node)) {
-      source->SetEmitBatchSize(1);
-      source->SetColumnarEmit(false);
+      source->SetBatchSize(1);
     }
   }
   // Drain in topological order so elements pushed downstream land in

@@ -117,25 +117,21 @@ struct EngineOptions {
   /// Transient-failure retry backoff applied to every operator
   /// (capped exponential with seeded jitter; see RetryBackoffOptions).
   RetryBackoffOptions retry_backoff;
-  /// Batch execution path (DESIGN.md §11): elements a source accumulates
-  /// into one TupleBatch before emitting it downstream; sizes > 1 also
-  /// make every placed queue deliver each drained run as a single
-  /// ReceiveBatch call. 1 (the default) keeps the per-tuple path
-  /// everywhere. Batches always split at punctuations (EOS, epoch
-  /// barriers) and dissolve at fault-hooked or alignment-armed operators,
-  /// so overload accounting and checkpoint semantics are unchanged.
+  /// Batch execution path (DESIGN.md §17): elements a source scatters into
+  /// one typed ColumnarBatch (contiguous column vectors + per-batch string
+  /// arena) before emitting it downstream. Unbounded queues transport each
+  /// batch as one boxed item; bounded queues unbundle it at the door so
+  /// every overload decision sees single elements. Operators with a
+  /// kernel (Selection, typed Map, Projection, tumbling aggregates, the
+  /// hash join, unions, routers, sinks) process the batch whole; everything
+  /// else — and any operator with a fault hook, armed barrier alignment,
+  /// or seq stamping — takes it row by row, so results are byte-for-byte
+  /// identical to per-tuple execution. Batches always split at
+  /// punctuations (EOS, epoch barriers). 1 (the default) keeps the
+  /// per-tuple path everywhere.
   size_t emit_batch_size = 1;
-  /// Columnar batch layer (DESIGN.md §17): with emit_batch_size > 1,
-  /// sources scatter accumulated elements into typed ColumnarBatches
-  /// (contiguous column vectors + per-batch string arena) and unbounded
-  /// batch-delivery queues transport each batch as one boxed item.
-  /// Columnar-native operators (typed Selection/Map, Projection, tumbling
-  /// aggregates, counting sinks, unions) process the typed columns
-  /// directly; everything else — and any operator with a fault hook,
-  /// armed barrier alignment, or seq stamping — transparently
-  /// materializes back to rows, so results are byte-for-byte identical to
-  /// the row-wise path. Configure also propagates declared source schemas
-  /// through schema-preserving operators (SetStaticOutputSchema).
+  /// No-op, kept so existing callers still compile: every batch is
+  /// columnar whenever emit_batch_size > 1. Nothing in the engine reads it.
   bool columnar = false;
 };
 
@@ -195,10 +191,11 @@ class StreamEngine {
   Status SetMaxRunningThreads(int max_running);
 
   /// Changes the emit batch size live (rung 2): sources apply the new size
-  /// at their next Push (via Source::RequestEmitBatchSize) and every
-  /// placed queue's downstream delivery granularity follows. Safe while
-  /// running; per-tuple and batch delivery are result-identical.
-  Status SetEmitBatchSizeLive(size_t batch_size);
+  /// at their next Push (via Source::RequestBatchSize); queues hand
+  /// boxed batches on whole and tuples one by one, so delivery granularity
+  /// follows. Safe while running; per-tuple and batch delivery are
+  /// result-identical.
+  Status SetBatchSizeLive(size_t batch_size);
 
   /// Flips the overload policy of every bounded placed queue live
   /// (rung 4; kBlock <-> kShedNewest only). Fails — naming the queue —

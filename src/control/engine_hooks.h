@@ -68,7 +68,7 @@ class EngineActuator : public Actuator {
     return engine_->SetMaxRunningThreads(max_running);
   }
   Status SetBatchSize(size_t batch_size) override {
-    return engine_->SetEmitBatchSizeLive(batch_size);
+    return engine_->SetBatchSizeLive(batch_size);
   }
   Status SetShards(size_t shards) override {
     if (!resharder_) {

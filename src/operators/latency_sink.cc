@@ -12,9 +12,7 @@ LatencySink::LatencySink(std::string name, size_t offset_attr,
     : Sink(std::move(name)),
       offset_attr_(offset_attr),
       epoch_(epoch),
-      phase_attr_(phase_attr) {
-  MarkColumnarNative();
-}
+      phase_attr_(phase_attr) {}
 
 void LatencySink::ProcessColumnar(ColumnarBatchPtr batch, int port) {
   const Schema& schema = batch->schema();
@@ -25,7 +23,7 @@ void LatencySink::ProcessColumnar(ColumnarBatchPtr batch, int port) {
       (*phase_attr_ < schema.arity() &&
        schema.type(*phase_attr_) == Value::Type::kInt64);
   if (!offset_ok || !phase_ok) {
-    ProcessBatch(columnar::MaterializeAndRelease(std::move(batch)), port);
+    Operator::ProcessColumnar(std::move(batch), port);
     return;
   }
   const size_t n = batch->size();
@@ -163,20 +161,6 @@ void LatencySink::Consume(const Tuple& tuple, int port) {
   histogram_.Add(latency_micros);
   if (phase_attr_.has_value()) {
     phase_histograms_[tuple.IntAt(*phase_attr_)].Add(latency_micros);
-  }
-}
-
-void LatencySink::ConsumeBatch(TupleBatch&& batch, int port) {
-  (void)port;
-  const int64_t now_offset = ToMicros(Now() - epoch_);
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const Tuple& tuple : batch) {
-    const double latency_micros =
-        static_cast<double>(now_offset - tuple.IntAt(offset_attr_));
-    histogram_.Add(latency_micros);
-    if (phase_attr_.has_value()) {
-      phase_histograms_[tuple.IntAt(*phase_attr_)].Add(latency_micros);
-    }
   }
 }
 

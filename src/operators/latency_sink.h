@@ -66,14 +66,12 @@ class LatencySink : public Sink, public StatefulOperator {
 
  protected:
   void Consume(const Tuple& tuple, int port) override;
-  /// Batch-safe path: one clock read and one lock acquisition per batch.
-  /// All elements of the batch share the arrival timestamp — they became
-  /// visible to the sink at the same drain instant, so per-element clock
-  /// reads would only add noise (and cost) to the measurement.
-  void ConsumeBatch(TupleBatch&& batch, int port) override;
-  /// Columnar kernel: reads the offset (and phase) columns directly —
-  /// one clock read, one lock, no row materialization. Falls back to rows
-  /// when the schema lacks kInt64 at the configured attributes.
+  /// Batch kernel: reads the offset (and phase) columns directly — one
+  /// clock read, one lock, no row materialization. All rows share the
+  /// arrival timestamp: they became visible to the sink at the same drain
+  /// instant, so per-row clock reads would only add noise (and cost).
+  /// Falls back to the per-row path when the schema lacks kInt64 at the
+  /// configured attributes.
   void ProcessColumnar(ColumnarBatchPtr batch, int port) override;
 
  private:

@@ -24,7 +24,6 @@ MapOp::MapOp(std::string name, Int64ColumnMap map, double simulated_cost_micros)
     out.at(attr) = Value(f(out.at(attr).AsInt64()));
     return out;
   };
-  MarkColumnarNative();
 }
 
 void MapOp::Process(const Tuple& tuple, int port) {
@@ -33,20 +32,12 @@ void MapOp::Process(const Tuple& tuple, int port) {
   EmitMove(fn_(tuple));
 }
 
-void MapOp::ProcessBatch(TupleBatch&& batch, int port) {
-  (void)port;
-  if (simulated_cost_micros_ > 0.0) {
-    BurnMicros(simulated_cost_micros_ * static_cast<double>(batch.size()));
-  }
-  for (Tuple& tuple : batch) tuple = fn_(tuple);
-  EmitBatch(std::move(batch));
-}
-
 void MapOp::ProcessColumnar(ColumnarBatchPtr batch, int port) {
   const Schema& schema = batch->schema();
   if (typed_map_.fn == nullptr || typed_map_.attr >= schema.arity() ||
       schema.type(typed_map_.attr) != Value::Type::kInt64) {
-    ProcessBatch(columnar::MaterializeAndRelease(std::move(batch)), port);
+    // Opaque row function (or no typed column): per-row path.
+    Operator::ProcessColumnar(std::move(batch), port);
     return;
   }
   const size_t n = batch->size();

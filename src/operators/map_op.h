@@ -53,11 +53,9 @@ class MapOp : public Operator {
 
  protected:
   void Process(const Tuple& tuple, int port) override;
-  /// Batch-native path: replaces each tuple with fn_(tuple) in place and
-  /// forwards the batch whole.
-  void ProcessBatch(TupleBatch&& batch, int port) override;
-  /// Columnar kernel: rewrites the typed column in place. Falls back to
-  /// rows when the schema does not carry kInt64 at the map's attr.
+  /// Batch kernel: rewrites the typed column in place. The generic form
+  /// (an opaque row function), or a batch whose schema lacks kInt64 at
+  /// the map's attr, takes the per-row path.
   void ProcessColumnar(ColumnarBatchPtr batch, int port) override;
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "tuple/columnar_batch.h"
 #include "util/logging.h"
 
 namespace flexstream {
@@ -57,24 +58,15 @@ void MergeOperator::Process(const Tuple& tuple, int port) {
   ReleaseReady();
 }
 
-void MergeOperator::ProcessBatch(TupleBatch&& batch, int port) {
-  (void)port;
+void MergeOperator::ProcessColumnar(ColumnarBatchPtr batch, int port) {
   if (order_ == Order::kArrival) {
-    EmitBatch(std::move(batch));
+    EmitColumnar(std::move(batch));
     return;
   }
-  EnsureLanes();
-  Lane* lane = LaneForSender(CurrentDeliverySender());
-  if (lane == nullptr) {
-    EmitBatch(std::move(batch));
-    return;
-  }
-  for (Tuple& tuple : batch) lane->pending.push_back(std::move(tuple));
-  ReleaseReady();
+  Operator::ProcessColumnar(std::move(batch), port);
 }
 
 void MergeOperator::ReleaseReady() {
-  TupleBatch run;
   for (;;) {
     Lane* best = nullptr;
     bool blocked = false;
@@ -94,21 +86,16 @@ void MergeOperator::ReleaseReady() {
       }
     }
     if (blocked || best == nullptr) break;
-    run.PushBack(std::move(best->pending.front()));
+    Tuple next = std::move(best->pending.front());
     best->pending.pop_front();
-  }
-  if (run.empty()) return;
-  if (run.size() == 1) {
-    EmitMove(std::move(run[0]));
-  } else {
-    EmitBatch(std::move(run));
+    EmitMove(std::move(next));
   }
 }
 
 void MergeOperator::FlushAllPending() {
-  TupleBatch run;
+  std::vector<Tuple> run;
   for (Lane& lane : lanes_) {
-    for (Tuple& tuple : lane.pending) run.PushBack(std::move(tuple));
+    for (Tuple& tuple : lane.pending) run.push_back(std::move(tuple));
     lane.pending.clear();
   }
   if (run.empty()) return;
@@ -117,11 +104,7 @@ void MergeOperator::FlushAllPending() {
   std::stable_sort(
       run.begin(), run.end(),
       [](const Tuple& a, const Tuple& b) { return a.seq() < b.seq(); });
-  if (run.size() == 1) {
-    EmitMove(std::move(run[0]));
-  } else {
-    EmitBatch(std::move(run));
-  }
+  for (Tuple& tuple : run) EmitMove(std::move(tuple));
 }
 
 void MergeOperator::OnEpochAligned(uint64_t epoch) {

@@ -63,7 +63,10 @@ class MergeOperator : public Operator {
 
  protected:
   void Process(const Tuple& tuple, int port) override;
-  void ProcessBatch(TupleBatch&& batch, int port) override;
+  /// kArrival forwards batches whole, like UnionOp. kSequence lanes stay
+  /// per-tuple: the base per-row path feeds each row to Process (replicas
+  /// under SetStampEmitSeq already emit row by row).
+  void ProcessColumnar(ColumnarBatchPtr batch, int port) override;
   void OnEpochAligned(uint64_t epoch) override;
   void OnInputEos(const Node* sender, int port) override;
   void OnAllInputsClosed(AppTime timestamp) override;
@@ -81,8 +84,8 @@ class MergeOperator : public Operator {
   void EnsureLanes();
   Lane* LaneForSender(const Node* sender);
 
-  /// Releases the longest currently-safe run under the release rule and
-  /// emits it (one EmitBatch for a multi-element run).
+  /// Releases the longest currently-safe run under the release rule,
+  /// emitting it tuple by tuple.
   void ReleaseReady();
   /// Emits everything pending, in global sequence order (barrier
   /// alignment / final close — see file comment for why this is safe).

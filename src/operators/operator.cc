@@ -47,6 +47,12 @@ void Operator::SetSimulatedBlockingMicros(double micros) {
 }
 
 namespace {
+/// Wall time since `start` in fractional microseconds: self-costs below
+/// 1 us must not truncate to 0 (c(v) and busy time feed the strategies).
+double ElapsedMicros(TimePoint start) {
+  return std::chrono::duration<double, std::micro>(Now() - start).count();
+}
+
 /// The simulated-blocking sleep. Kept out of the cost-stats window: it
 /// models waiting (I/O), not computing, so c(v) must not see it.
 void SleepBlockingMicros(double micros) {
@@ -156,62 +162,6 @@ void Operator::Receive(Tuple&& tuple, int port) {
   Operator::Receive(static_cast<const Tuple&>(tuple), port);
 }
 
-void Operator::ReceiveBatch(TupleBatch&& batch, int port) {
-  if (receive_mutex_ != nullptr) {
-    std::lock_guard<std::mutex> lock(*receive_mutex_);
-    ReceiveBatchLocked(std::move(batch), port);
-    return;
-  }
-  ReceiveBatchLocked(std::move(batch), port);
-}
-
-void Operator::ReceiveBatchLocked(TupleBatch&& batch, int port) {
-  if (batch.empty()) return;
-  if (epoch_state_ != nullptr || fault_hook_ != nullptr || stamp_emit_seq_) {
-    // Per-delivery machinery is engaged: barrier channels buffer, fault
-    // hooks vote, and sequence stamping reads the per-element stamp — all
-    // element by element, so the batch is unbundled onto the exact
-    // per-tuple path. The sender is re-declared before every element
-    // because a processed element's downstream Emit overwrites the
-    // thread-local.
-    const Node* sender = tl_delivery_sender_;
-    for (Tuple& tuple : batch) {
-      tl_delivery_sender_ = sender;
-      ReceiveLocked(tuple, port);
-    }
-    return;
-  }
-  DCHECK(!closed_) << DebugString() << " received data after close";
-  if (failed_.load(std::memory_order_relaxed)) return;
-  const size_t n = batch.size();
-  if (simulated_blocking_micros_ > 0.0) {
-    SleepBlockingMicros(simulated_blocking_micros_ * static_cast<double>(n));
-  }
-  if (!StatsCollectionEnabled()) {
-    if (simulated_cost_micros_ > 0.0) {
-      BurnMicros(simulated_cost_micros_ * static_cast<double>(n));
-    }
-    ProcessBatch(std::move(batch), port);
-    return;
-  }
-  const TimePoint start = Now();
-  stats().RecordArrivalBatch(start, static_cast<int64_t>(n));
-  const double saved_child_micros = tl_child_micros;
-  tl_child_micros = 0.0;
-  if (simulated_cost_micros_ > 0.0) {
-    BurnMicros(simulated_cost_micros_ * static_cast<double>(n));
-  }
-  ProcessBatch(std::move(batch), port);
-  const double total_micros = static_cast<double>(ToMicros(Now() - start));
-  const double self_micros = std::max(0.0, total_micros - tl_child_micros);
-  stats().RecordProcessedBatch(self_micros, static_cast<int64_t>(n));
-  tl_child_micros = saved_child_micros + total_micros;
-}
-
-void Operator::ProcessBatch(TupleBatch&& batch, int port) {
-  for (const Tuple& tuple : batch) Process(tuple, port);
-}
-
 void Operator::ReceiveColumnar(ColumnarBatchPtr batch, int port) {
   if (receive_mutex_ != nullptr) {
     std::lock_guard<std::mutex> lock(*receive_mutex_);
@@ -226,14 +176,19 @@ void Operator::ReceiveColumnarLocked(ColumnarBatchPtr batch, int port) {
     columnar::ReleaseBatch(std::move(batch));
     return;
   }
-  if (!columnar_native_ || epoch_state_ != nullptr || fault_hook_ != nullptr ||
-      stamp_emit_seq_) {
-    // The fallback contract (DESIGN.md §17): no kernel, or per-delivery
-    // machinery (barrier channels, fault hooks, seq stamping) is engaged —
-    // materialize to rows and take the existing batch path, which applies
-    // every gate exactly (including its own per-tuple unbundling).
-    ReceiveBatchLocked(columnar::MaterializeAndRelease(std::move(batch)),
-                       port);
+  if (epoch_state_ != nullptr || fault_hook_ != nullptr || stamp_emit_seq_) {
+    // Per-delivery machinery is engaged: barrier channels buffer, fault
+    // hooks vote, and sequence stamping reads the per-element stamp — all
+    // element by element, so the batch is delivered row by row through the
+    // exact per-tuple path. The sender is re-declared before every row
+    // because a processed row's downstream Emit overwrites the
+    // thread-local.
+    const Node* sender = tl_delivery_sender_;
+    for (size_t i = 0; i < batch->size(); ++i) {
+      tl_delivery_sender_ = sender;
+      ReceiveLocked(batch->MaterializeRow(i), port);
+    }
+    columnar::ReleaseBatch(std::move(batch));
     return;
   }
   DCHECK(!closed_) << DebugString() << " received data after close";
@@ -260,14 +215,21 @@ void Operator::ReceiveColumnarLocked(ColumnarBatchPtr batch, int port) {
     BurnMicros(simulated_cost_micros_ * static_cast<double>(n));
   }
   ProcessColumnar(std::move(batch), port);
-  const double total_micros = static_cast<double>(ToMicros(Now() - start));
+  const double total_micros = ElapsedMicros(start);
   const double self_micros = std::max(0.0, total_micros - tl_child_micros);
   stats().RecordProcessedBatch(self_micros, static_cast<int64_t>(n));
   tl_child_micros = saved_child_micros + total_micros;
 }
 
 void Operator::ProcessColumnar(ColumnarBatchPtr batch, int port) {
-  ProcessBatch(columnar::MaterializeAndRelease(std::move(batch)), port);
+  // A row's downstream Emit overwrites the delivery sender; sender-keyed
+  // operators (the ordered Merge's lanes) must see it for every row.
+  const Node* sender = tl_delivery_sender_;
+  for (size_t i = 0; i < batch->size(); ++i) {
+    tl_delivery_sender_ = sender;
+    Process(batch->MaterializeRow(i), port);
+  }
+  columnar::ReleaseBatch(std::move(batch));
 }
 
 SchemaPtr Operator::InferOutputSchema(const std::vector<SchemaPtr>&) const {
@@ -449,7 +411,7 @@ void Operator::DeliverLocked(const Tuple& tuple, int port) {
   // The synthetic burn sits inside the measured window so c(v) reflects it.
   if (simulated_cost_micros_ > 0.0) BurnMicros(simulated_cost_micros_);
   Process(tuple, port);
-  const double total_micros = static_cast<double>(ToMicros(Now() - start));
+  const double total_micros = ElapsedMicros(start);
   const double self_micros = std::max(0.0, total_micros - tl_child_micros);
   stats().RecordProcessed(self_micros);
   tl_child_micros = saved_child_micros + total_micros;
@@ -485,23 +447,6 @@ void Operator::EmitMove(Tuple&& tuple) {
   const OutEdge& last = edges.back();
   tl_delivery_sender_ = this;
   last.target->Receive(std::move(tuple), last.port);
-}
-
-void Operator::EmitBatch(TupleBatch&& batch) {
-  if (batch.empty()) return;
-  if (StatsCollectionEnabled()) {
-    stats().RecordEmitted(static_cast<int64_t>(batch.size()));
-  }
-  const auto& edges = outputs();
-  if (edges.empty()) return;
-  for (size_t i = 0; i + 1 < edges.size(); ++i) {
-    TupleBatch copy = batch;
-    tl_delivery_sender_ = this;
-    edges[i].target->ReceiveBatch(std::move(copy), edges[i].port);
-  }
-  const OutEdge& last = edges.back();
-  tl_delivery_sender_ = this;
-  last.target->ReceiveBatch(std::move(batch), last.port);
 }
 
 void Operator::EmitColumnar(ColumnarBatchPtr batch) {
@@ -551,15 +496,14 @@ void Operator::EmitTo(size_t output_index, Tuple&& tuple) {
   edge.target->Receive(std::move(tuple), edge.port);
 }
 
-void Operator::EmitBatchTo(size_t output_index, TupleBatch&& batch) {
-  if (batch.empty()) return;
+void Operator::EmitColumnarTo(size_t output_index, ColumnarBatchPtr batch) {
   DCHECK_LT(output_index, outputs().size());
   if (StatsCollectionEnabled()) {
-    stats().RecordEmitted(static_cast<int64_t>(batch.size()));
+    stats().RecordEmitted(static_cast<int64_t>(batch->size()));
   }
   const OutEdge& edge = outputs()[output_index];
   tl_delivery_sender_ = this;
-  edge.target->ReceiveBatch(std::move(batch), edge.port);
+  edge.target->ReceiveColumnar(std::move(batch), edge.port);
 }
 
 void Operator::EmitEos(AppTime timestamp) {

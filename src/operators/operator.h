@@ -29,7 +29,6 @@
 #include "graph/node.h"
 #include "tuple/schema.h"
 #include "tuple/tuple.h"
-#include "tuple/tuple_batch.h"
 #include "util/run_status.h"
 
 namespace flexstream {
@@ -102,31 +101,19 @@ class Operator : public Node {
   /// lvalue form must override this one as well.
   virtual void Receive(Tuple&& tuple, int port);
 
-  /// Batch delivery (DESIGN.md §11): semantically identical to calling
-  /// Receive() once per element, in order, on `port`, but pays the virtual
+  /// Batch delivery (DESIGN.md §17): semantically identical to calling
+  /// Receive() once per row, in order, on `port`, but pays the virtual
   /// dispatch, serialization lock and statistics bookkeeping once per
   /// batch. Batches carry data tuples only — punctuations (EOS, barriers)
   /// always travel through Receive() — so fan-in close accounting and
   /// barrier alignment never see a batch. When per-delivery machinery is
-  /// engaged (a fault hook is installed or barrier alignment is armed) the
-  /// base implementation unbundles the batch onto the exact per-tuple
-  /// path, so chaos and checkpoint semantics are preserved bit-for-bit.
-  virtual void ReceiveBatch(TupleBatch&& batch, int port);
-
-  /// Columnar delivery (DESIGN.md §17): semantically identical to calling
-  /// ReceiveBatch on the materialized rows — and that is literally what the
-  /// base implementation does whenever the operator has no columnar kernel
-  /// (MarkColumnarNative not set) or any per-delivery machinery is engaged
-  /// (fault hook, armed barrier alignment, seq stamping): the batch
-  /// materializes to a TupleBatch, recycles its column storage, and takes
-  /// the existing row-wise path, which applies every gate exactly.
-  /// Columnar-native operators instead get the whole typed batch via
-  /// ProcessColumnar after the batch-level gates (failure poisoning,
-  /// stats, simulated cost/blocking) have been applied once.
+  /// engaged (a fault hook, armed barrier alignment, or seq stamping) the
+  /// base implementation delivers the batch row by row through the exact
+  /// per-tuple path, so chaos and checkpoint semantics are preserved
+  /// bit-for-bit. Otherwise the batch-level gates (failure poisoning,
+  /// stats, simulated cost/blocking) are applied once and the whole typed
+  /// batch goes to ProcessColumnar.
   virtual void ReceiveColumnar(ColumnarBatchPtr batch, int port);
-
-  /// True when this operator has a columnar kernel (see MarkColumnarNative).
-  bool columnar_native() const { return columnar_native_; }
 
   /// Graph-build-time schema propagation: given one schema per input edge
   /// (null where unknown), returns this operator's output schema, or null
@@ -180,8 +167,8 @@ class Operator : public Node {
 
   /// When enabled, every emitted data tuple is stamped with the arrival
   /// sequence number of the input element currently being processed, and
-  /// batch deliveries unbundle onto the per-tuple path (so the stamp is
-  /// exact per element). Shard replicas under an ordered merge enable
+  /// batch deliveries are made row by row (so the stamp is exact per
+  /// element). Shard replicas under an ordered merge enable
   /// this; it propagates the split-point sequence through one-in/N-out
   /// operators so the Merge can restore global arrival order.
   void SetStampEmitSeq(bool enabled) { stamp_emit_seq_ = enabled; }
@@ -285,25 +272,14 @@ class Operator : public Node {
   /// Emit() zero or more times.
   virtual void Process(const Tuple& tuple, int port) = 0;
 
-  /// Handles one batch of data elements — all Receive-path gates (failure
-  /// poisoning, stats, simulated cost) have already been applied for the
-  /// whole batch. Batch-native operators (Selection, Projection, MapOp,
-  /// UnionOp, the counting/collecting sinks) override this to transform
-  /// the batch in place and forward it with EmitBatch(); the default
-  /// unbundles into per-tuple Process() calls, so batches simply dissolve
-  /// at the first operator that hasn't opted in.
-  virtual void ProcessBatch(TupleBatch&& batch, int port);
-
-  /// Handles one columnar batch — only ever invoked on columnar-native
-  /// operators, with all batch-level gates already applied. Kernels verify
-  /// the batch's schema fits their configuration and otherwise materialize
-  /// and delegate to ProcessBatch (the default does exactly that).
+  /// Handles one columnar batch, with all batch-level gates already
+  /// applied. The default is the per-row fallback: it materializes each
+  /// row and calls Process(), so batches simply dissolve at the first
+  /// operator without a kernel. Kernels (typed Selection/Map, Projection,
+  /// tumbling aggregates, the join, unions, sinks) override it, verify the
+  /// batch's schema fits their configuration, and call this base version
+  /// when it does not.
   virtual void ProcessColumnar(ColumnarBatchPtr batch, int port);
-
-  /// Declares that this operator implements ProcessColumnar. Kernels call
-  /// this from their constructor when their configuration is columnar-
-  /// capable; without it, ReceiveColumnar materializes at the door.
-  void MarkColumnarNative(bool native = true) { columnar_native_ = native; }
 
   /// Called once when all input edges have closed. The default emits an EOS
   /// punctuation downstream; stateful operators flush first, sinks signal
@@ -327,7 +303,8 @@ class Operator : public Node {
   virtual void OnInputEos(const Node* sender, int port);
 
   /// The upstream node whose Emit/drain loop is making the current
-  /// delivery (see SetDeliverySender). Valid inside Process/ProcessBatch.
+  /// delivery (see SetDeliverySender). Valid inside Process and
+  /// ProcessColumnar.
   static const Node* CurrentDeliverySender() { return tl_delivery_sender_; }
 
   /// Direct interoperability: pushes `tuple` to every subscriber, in
@@ -342,12 +319,8 @@ class Operator : public Node {
   void EmitMove(Tuple&& tuple);
 
   /// Batch analogue of EmitMove: pushes `batch` to every subscriber in
-  /// subscription order. The last subscriber adopts the storage; earlier
-  /// (fan-out) subscribers receive copies.
-  void EmitBatch(TupleBatch&& batch);
-
-  /// Columnar analogue of EmitBatch: the last subscriber adopts the boxed
-  /// batch; earlier (fan-out) subscribers receive pool-allocated copies.
+  /// subscription order. The last subscriber adopts the boxed batch;
+  /// earlier (fan-out) subscribers receive pool-allocated copies.
   void EmitColumnar(ColumnarBatchPtr batch);
 
   /// Pushes `tuple` to the single subscriber at `output_index` (the order
@@ -359,9 +332,9 @@ class Operator : public Node {
   void EmitTo(size_t output_index, Tuple&& tuple);
 
   /// Batch analogue of EmitTo: the subscriber at `output_index` adopts the
-  /// whole run. Used by the Router's batch-native scatter to deliver each
-  /// per-replica run as one ReceiveBatch call.
-  void EmitBatchTo(size_t output_index, TupleBatch&& batch);
+  /// whole batch. Used by the Router's columnar scatter to deliver each
+  /// per-replica run as one ReceiveColumnar call.
+  void EmitColumnarTo(size_t output_index, ColumnarBatchPtr batch);
 
   /// Emits the EOS punctuation downstream (used by OnAllInputsClosed
   /// overrides after flushing).
@@ -402,12 +375,9 @@ class Operator : public Node {
 
   void ReceiveLocked(const Tuple& tuple, int port);
   /// Batch delivery under the (optional) serialization lock: applies the
-  /// Receive-path gates once for the whole batch, or unbundles it when
-  /// per-delivery machinery (fault hook, barrier alignment) is engaged.
-  void ReceiveBatchLocked(TupleBatch&& batch, int port);
-  /// Columnar delivery under the (optional) serialization lock: applies
-  /// the batch-level gates once, or materializes onto the row-wise path
-  /// when the operator lacks a kernel or per-delivery machinery is armed.
+  /// batch-level gates once, or delivers row by row through ReceiveLocked
+  /// when per-delivery machinery (fault hook, barrier alignment, seq
+  /// stamping) is engaged.
   void ReceiveColumnarLocked(ColumnarBatchPtr batch, int port);
   /// The pre-barrier delivery path (stats, fault hook, Process/EOS).
   void DeliverLocked(const Tuple& tuple, int port);
@@ -429,7 +399,6 @@ class Operator : public Node {
 
   size_t eos_received_ = 0;
   bool closed_ = false;
-  bool columnar_native_ = false;
   SchemaPtr static_output_schema_;
   AppTime max_eos_timestamp_ = 0;
   double simulated_cost_micros_ = 0.0;

@@ -1,7 +1,5 @@
 #include "operators/projection.h"
 
-#include <algorithm>
-
 #include "tuple/batch_pool.h"
 #include "util/busy_work.h"
 
@@ -11,13 +9,7 @@ Projection::Projection(std::string name, std::vector<size_t> attrs,
                        double simulated_cost_micros)
     : Operator(Kind::kOperator, std::move(name), /*input_arity=*/1),
       attrs_(std::move(attrs)),
-      simulated_cost_micros_(simulated_cost_micros) {
-  std::vector<size_t> sorted = attrs_;
-  std::sort(sorted.begin(), sorted.end());
-  attrs_unique_ =
-      std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
-  MarkColumnarNative();
-}
+      simulated_cost_micros_(simulated_cost_micros) {}
 
 SchemaPtr Projection::InferOutputSchema(
     const std::vector<SchemaPtr>& inputs) const {
@@ -45,44 +37,22 @@ void Projection::Process(const Tuple& tuple, int port) {
   EmitMove(Tuple(std::move(values), tuple.timestamp()));
 }
 
-void Projection::ProcessBatch(TupleBatch&& batch, int port) {
-  (void)port;
-  if (simulated_cost_micros_ > 0.0) {
-    BurnMicros(simulated_cost_micros_ * static_cast<double>(batch.size()));
-  }
-  if (!attrs_.empty()) {
-    for (Tuple& tuple : batch) {
-      std::vector<Value> values;
-      values.reserve(attrs_.size());
-      for (size_t a : attrs_) {
-        if (attrs_unique_) {
-          values.push_back(std::move(tuple.at(a)));
-        } else {
-          values.push_back(tuple.at(a));
-        }
-      }
-      tuple = Tuple(std::move(values), tuple.timestamp());
+void Projection::ProcessColumnar(ColumnarBatchPtr batch, int port) {
+  const SchemaPtr& in = batch->schema_ptr();
+  for (size_t a : attrs_) {
+    if (a >= in->arity()) {
+      // Out-of-range attr for this (drifted) schema: the per-row path's
+      // accessor checks will report it.
+      Operator::ProcessColumnar(std::move(batch), port);
+      return;
     }
   }
-  EmitBatch(std::move(batch));
-}
-
-void Projection::ProcessColumnar(ColumnarBatchPtr batch, int port) {
   if (simulated_cost_micros_ > 0.0) {
     BurnMicros(simulated_cost_micros_ * static_cast<double>(batch->size()));
   }
   if (attrs_.empty()) {
     EmitColumnar(std::move(batch));
     return;
-  }
-  const SchemaPtr& in = batch->schema_ptr();
-  for (size_t a : attrs_) {
-    if (a >= in->arity()) {
-      // Out-of-range attr for this (drifted) schema: the row path's
-      // accessor checks will report it.
-      ProcessBatch(columnar::MaterializeAndRelease(std::move(batch)), port);
-      return;
-    }
   }
   if (cached_in_ != in) {
     cached_in_ = in;

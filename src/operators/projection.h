@@ -36,18 +36,14 @@ class Projection : public Operator {
 
  protected:
   void Process(const Tuple& tuple, int port) override;
-  /// Batch-native path: rebuilds each tuple in place, moving the kept
-  /// Values out of the owned input (copying only when `attrs` repeats an
-  /// index, since a repeated index would read a moved-from Value).
-  void ProcessBatch(TupleBatch&& batch, int port) override;
-  /// Columnar kernel: ProjectColumns rebinds the column vector (moving
-  /// kept columns, sharing the arena) — no per-row work at all. Seq
-  /// stamps are dropped to match the row path, which builds fresh Tuples.
+  /// Batch kernel: ProjectColumns rebinds the column vector (moving kept
+  /// columns, copying repeated ones, sharing the arena) — no per-row work
+  /// at all. Seq stamps are dropped to match the per-tuple path, which
+  /// builds fresh Tuples.
   void ProcessColumnar(ColumnarBatchPtr batch, int port) override;
 
  private:
   std::vector<size_t> attrs_;
-  bool attrs_unique_ = true;
   double simulated_cost_micros_;
   // Projected-schema cache keyed on the input batch's SchemaPtr identity:
   // steady-state streams reuse one Schema object, so the projected schema

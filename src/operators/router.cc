@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "queue/queue_op.h"
+#include "tuple/batch_pool.h"
 #include "util/logging.h"
 
 namespace flexstream {
@@ -52,30 +53,34 @@ void Router::Process(const Tuple& tuple, int port) {
   EmitTo(target, tuple);
 }
 
-void Router::ProcessBatch(TupleBatch&& batch, int port) {
+void Router::ProcessColumnar(ColumnarBatchPtr batch, int port) {
   (void)port;
   const size_t fan_out = outputs().size();
-  if (fan_out == 0 || batch.empty()) return;
-  if (fan_out == 1) {
-    if (sequencing_) {
-      uint64_t seq = AllocateArrivalSeq(batch.size());
-      for (Tuple& tuple : batch) tuple.set_seq(seq++);
-    }
-    EmitBatchTo(0, std::move(batch));
+  if (fan_out == 0) {
+    columnar::ReleaseBatch(std::move(batch));
     return;
   }
-  scatter_.resize(fan_out);
   // One bulk sequence reservation covers the whole batch: within the batch
   // the stamp order is the batch order, which is the arrival order.
-  uint64_t seq = sequencing_ ? AllocateArrivalSeq(batch.size()) : 0;
-  for (Tuple& tuple : batch) {
-    if (sequencing_) tuple.set_seq(seq++);
-    scatter_[route_(tuple) % fan_out].PushBack(std::move(tuple));
+  const size_t n = batch->size();
+  const uint64_t first_seq = sequencing_ ? AllocateArrivalSeq(n) : 0;
+  if (fan_out == 1) {
+    if (sequencing_) batch->StampSeqs(first_seq);
+    EmitColumnarTo(0, std::move(batch));
+    return;
   }
+  std::vector<ColumnarBatchPtr> scatter(fan_out);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t target = route_(batch->MaterializeRow(i)) % fan_out;
+    if (scatter[target] == nullptr) {
+      scatter[target] = columnar::AcquireBatch(batch->schema_ptr());
+    }
+    scatter[target]->AppendRow(*batch, i,
+                               sequencing_ ? first_seq + i : batch->SeqAt(i));
+  }
+  columnar::ReleaseBatch(std::move(batch));
   for (size_t i = 0; i < fan_out; ++i) {
-    if (scatter_[i].empty()) continue;
-    EmitBatchTo(i, std::move(scatter_[i]));
-    scatter_[i].clear();  // moved-from: return the slot to a known state
+    if (scatter[i] != nullptr) EmitColumnarTo(i, std::move(scatter[i]));
   }
 }
 

@@ -63,16 +63,15 @@ class Router : public Operator {
  protected:
   void Process(const Tuple& tuple, int port) override;
 
-  /// Batch-native scatter: partitions the batch into per-subscriber runs
-  /// (order-preserving within each run) and delivers each non-empty run as
-  /// one ReceiveBatch call, instead of unbundling into per-tuple EmitTo.
-  void ProcessBatch(TupleBatch&& batch, int port) override;
+  /// Columnar scatter: routes each row with the route function, appends it
+  /// to a pooled per-subscriber batch (order-preserving within each run),
+  /// and delivers each non-empty run as one ReceiveColumnar call. A
+  /// sequencing Router stamps the whole batch from one seq reservation.
+  void ProcessColumnar(ColumnarBatchPtr batch, int port) override;
 
  private:
   RouteFn route_;
   bool sequencing_ = false;
-  /// Scatter staging, one slot per subscriber; reused across batches.
-  std::vector<TupleBatch> scatter_;
 };
 
 }  // namespace flexstream

@@ -24,7 +24,6 @@ Selection::Selection(std::string name, Int64ColumnPredicate pred,
   predicate_ = [attr = typed_pred_.attr, fn = typed_pred_.fn](const Tuple& t) {
     return fn(t.IntAt(attr));
   };
-  MarkColumnarNative();
 }
 
 Selection::Predicate Selection::IntAttrLessThan(int64_t threshold,
@@ -46,32 +45,30 @@ void Selection::Process(const Tuple& tuple, int port) {
   if (predicate_(tuple)) Emit(tuple);
 }
 
-void Selection::ProcessBatch(TupleBatch&& batch, int port) {
-  (void)port;
-  if (simulated_cost_micros_ > 0.0) {
-    BurnMicros(simulated_cost_micros_ * static_cast<double>(batch.size()));
-  }
-  batch.Compact(predicate_);
-  EmitBatch(std::move(batch));
-}
-
 void Selection::ProcessColumnar(ColumnarBatchPtr batch, int port) {
-  const Schema& schema = batch->schema();
-  if (typed_pred_.fn == nullptr || typed_pred_.attr >= schema.arity() ||
-      schema.type(typed_pred_.attr) != Value::Type::kInt64) {
-    // Schema without our typed column (drifted stream): row fallback.
-    ProcessBatch(columnar::MaterializeAndRelease(std::move(batch)), port);
-    return;
-  }
+  (void)port;
   const size_t n = batch->size();
   if (simulated_cost_micros_ > 0.0) {
     BurnMicros(simulated_cost_micros_ * static_cast<double>(n));
   }
-  const int64_t* vals = batch->Ints(typed_pred_.attr);
   keep_.clear();
   keep_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (typed_pred_.fn(vals[i])) keep_.push_back(static_cast<uint32_t>(i));
+  const Schema& schema = batch->schema();
+  if (typed_pred_.fn != nullptr && typed_pred_.attr < schema.arity() &&
+      schema.type(typed_pred_.attr) == Value::Type::kInt64) {
+    const int64_t* vals = batch->Ints(typed_pred_.attr);
+    for (size_t i = 0; i < n; ++i) {
+      if (typed_pred_.fn(vals[i])) keep_.push_back(static_cast<uint32_t>(i));
+    }
+  } else {
+    // Row-form predicate (or a schema without the typed column): evaluate
+    // it on each materialized row, but still compact and forward the
+    // batch whole.
+    for (size_t i = 0; i < n; ++i) {
+      if (predicate_(batch->MaterializeRow(i))) {
+        keep_.push_back(static_cast<uint32_t>(i));
+      }
+    }
   }
   if (keep_.empty()) {
     columnar::ReleaseBatch(std::move(batch));

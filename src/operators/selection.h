@@ -70,12 +70,10 @@ class Selection : public Operator {
 
  protected:
   void Process(const Tuple& tuple, int port) override;
-  /// Batch-native path: compacts the batch in place (order-preserving
-  /// remove-if) and forwards the survivors as one batch.
-  void ProcessBatch(TupleBatch&& batch, int port) override;
-  /// Columnar kernel: typed-column predicate scan into a selection
-  /// vector, then in-place CompactRows. Falls back to the row path when
-  /// the batch's schema does not carry kInt64 at the predicate's attr.
+  /// Batch kernel: predicate scan into a selection vector, then in-place
+  /// CompactRows, forwarding the survivors as one batch. The typed form
+  /// scans the int64 column; the row form (or a batch whose schema lacks
+  /// kInt64 at the predicate's attr) evaluates each materialized row.
   void ProcessColumnar(ColumnarBatchPtr batch, int port) override;
 
  private:

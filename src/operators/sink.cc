@@ -29,14 +29,6 @@ void Sink::Reset() {
 
 void Sink::Process(const Tuple& tuple, int port) { Consume(tuple, port); }
 
-void Sink::ProcessBatch(TupleBatch&& batch, int port) {
-  ConsumeBatch(std::move(batch), port);
-}
-
-void Sink::ConsumeBatch(TupleBatch&& batch, int port) {
-  for (const Tuple& tuple : batch) Consume(tuple, port);
-}
-
 void Sink::OnAllInputsClosed(AppTime timestamp) {
   (void)timestamp;
   {
@@ -46,14 +38,12 @@ void Sink::OnAllInputsClosed(AppTime timestamp) {
   cv_.notify_all();
 }
 
-CountingSink::CountingSink(std::string name) : Sink(std::move(name)) {
-  MarkColumnarNative();
-}
+CountingSink::CountingSink(std::string name) : Sink(std::move(name)) {}
 
 void CountingSink::ProcessColumnar(ColumnarBatchPtr batch, int port) {
   if (timeline_enabled_) {
-    // One (time, cumulative count) sample per arrival: row path.
-    ProcessBatch(columnar::MaterializeAndRelease(std::move(batch)), port);
+    // One (time, cumulative count) sample per arrival: per-row path.
+    Operator::ProcessColumnar(std::move(batch), port);
     return;
   }
   count_.fetch_add(static_cast<int64_t>(batch->size()),
@@ -91,17 +81,6 @@ void CountingSink::Consume(const Tuple& tuple, int port) {
       timeline_.emplace_back(ToSeconds(Now() - timeline_start_), n);
     }
   }
-}
-
-void CountingSink::ConsumeBatch(TupleBatch&& batch, int port) {
-  if (timeline_enabled_) {
-    // The timeline wants one (time, cumulative count) sample per arrival:
-    // keep the per-tuple path.
-    Sink::ConsumeBatch(std::move(batch), port);
-    return;
-  }
-  count_.fetch_add(static_cast<int64_t>(batch.size()),
-                   std::memory_order_relaxed);
 }
 
 OperatorSnapshot CountingSink::SnapshotState() const {
@@ -245,11 +224,12 @@ void CollectingSink::Consume(const Tuple& tuple, int port) {
   results_.push_back(tuple);
 }
 
-void CollectingSink::ConsumeBatch(TupleBatch&& batch, int port) {
+void CollectingSink::ProcessColumnar(ColumnarBatchPtr batch, int port) {
   (void)port;
+  std::vector<Tuple> rows = columnar::MaterializeAndRelease(std::move(batch));
   std::lock_guard<std::mutex> lock(results_mutex_);
-  results_.insert(results_.end(), std::make_move_iterator(batch.begin()),
-                  std::make_move_iterator(batch.end()));
+  results_.insert(results_.end(), std::make_move_iterator(rows.begin()),
+                  std::make_move_iterator(rows.end()));
 }
 
 CallbackSink::CallbackSink(std::string name,

@@ -38,15 +38,11 @@ class Sink : public Operator {
 
  protected:
   void Process(const Tuple& tuple, int port) override;
-  void ProcessBatch(TupleBatch&& batch, int port) override;
   void OnAllInputsClosed(AppTime timestamp) override;
 
+  /// Per-element consumption. Batches reach it row by row through the
+  /// base ProcessColumnar unless a sink overrides that with a kernel.
   virtual void Consume(const Tuple& tuple, int port) = 0;
-
-  /// Batch analogue of Consume. The default unbundles into per-tuple
-  /// Consume calls; the counting/collecting sinks override it to absorb
-  /// the whole batch under one lock/atomic update.
-  virtual void ConsumeBatch(TupleBatch&& batch, int port);
 
  private:
   std::mutex mutex_;
@@ -81,9 +77,8 @@ class CountingSink : public Sink, public StatefulOperator {
 
  protected:
   void Consume(const Tuple& tuple, int port) override;
-  void ConsumeBatch(TupleBatch&& batch, int port) override;
-  /// Columnar kernel: one atomic add for the whole batch — no row
-  /// materialization at all (the timeline mode keeps the per-tuple path).
+  /// Batch kernel: one atomic add for the whole batch — no row
+  /// materialization at all (the timeline mode keeps the per-row path).
   void ProcessColumnar(ColumnarBatchPtr batch, int port) override;
 
  private:
@@ -120,7 +115,9 @@ class CollectingSink : public Sink, public StatefulOperator {
 
  protected:
   void Consume(const Tuple& tuple, int port) override;
-  void ConsumeBatch(TupleBatch&& batch, int port) override;
+  /// Batch kernel: materializes the rows, then appends them all under one
+  /// lock acquisition.
+  void ProcessColumnar(ColumnarBatchPtr batch, int port) override;
 
  private:
   mutable std::mutex results_mutex_;

@@ -21,12 +21,7 @@ void Source::Push(const Tuple& tuple) {
     stats().RecordProcessed(0.0);
   }
   if (emit_batch_size_ > 1) {
-    if (columnar_emit_) {
-      AppendPendingColumnar(tuple);
-      return;
-    }
-    pending_.PushBack(tuple);
-    if (pending_.size() >= emit_batch_size_) FlushPendingBatch();
+    AppendPending(tuple);
     return;
   }
   Emit(tuple);
@@ -46,72 +41,47 @@ void Source::Push(Tuple&& tuple) {
     stats().RecordProcessed(0.0);
   }
   if (emit_batch_size_ > 1) {
-    if (columnar_emit_) {
-      // Scattering copies the attribute payloads into the columns; the
-      // move-in tuple is simply dropped afterwards.
-      AppendPendingColumnar(tuple);
-      return;
-    }
-    pending_.PushBack(std::move(tuple));
-    if (pending_.size() >= emit_batch_size_) FlushPendingBatch();
+    // Scattering copies the attribute payloads into the columns; the
+    // move-in tuple is simply dropped afterwards.
+    AppendPending(tuple);
     return;
   }
   EmitMove(std::move(tuple));
 }
 
-void Source::SetEmitBatchSize(size_t batch_size) {
+void Source::SetBatchSize(size_t batch_size) {
   FlushPendingBatch();
   emit_batch_size_ = batch_size == 0 ? 1 : batch_size;
   // Keep the cross-thread request in sync so a stale earlier request
   // cannot resurrect an old size at the next Push.
   requested_batch_size_.store(emit_batch_size_, std::memory_order_relaxed);
-  // Growth-policy satellite: reserve the accumulation buffer to the hint
-  // up front instead of letting PushBack double its way there.
-  if (emit_batch_size_ > 1) pending_.reserve(emit_batch_size_);
 }
 
 void Source::FlushPendingBatch() {
-  if (!pending_.empty()) {
-    TupleBatch batch = std::move(pending_);
-    pending_.clear();  // normalize the moved-from state
-    // Steady state: re-reserve the hint so the next fill costs exactly one
-    // allocation (the growth-policy satellite; see tests/batch_alloc_test).
-    if (emit_batch_size_ > 1) pending_.reserve(emit_batch_size_);
-    EmitBatch(std::move(batch));
-  }
-  FlushPendingColumnar();
+  if (pending_ == nullptr || pending_->empty()) return;
+  EmitColumnar(std::move(pending_));
 }
 
-void Source::FlushPendingColumnar() {
-  if (pending_col_ == nullptr || pending_col_->empty()) return;
-  EmitColumnar(std::move(pending_col_));
-}
-
-void Source::AppendPendingColumnar(const Tuple& tuple) {
-  if (pending_col_ == nullptr) {
+void Source::AppendPending(const Tuple& tuple) {
+  if (pending_ == nullptr) {
     if (batch_schema_ == nullptr || !batch_schema_->Matches(tuple)) {
       batch_schema_ =
           (declared_schema_ != nullptr && declared_schema_->Matches(tuple))
               ? declared_schema_
               : MakeSchema(Schema::InferFrom(tuple).types());
     }
-    pending_col_ = columnar::AcquireBatch(batch_schema_);
+    pending_ = columnar::AcquireBatch(batch_schema_);
   }
-  if (!pending_col_->AppendTuple(tuple)) {
+  if (!pending_->AppendTuple(tuple)) {
     // Schema drift mid-stream: flush what accumulated and restart under
     // the element's own schema.
-    FlushPendingColumnar();
+    FlushPendingBatch();
     batch_schema_ = MakeSchema(Schema::InferFrom(tuple).types());
-    pending_col_ = columnar::AcquireBatch(batch_schema_);
-    const bool ok = pending_col_->AppendTuple(tuple);
+    pending_ = columnar::AcquireBatch(batch_schema_);
+    const bool ok = pending_->AppendTuple(tuple);
     DCHECK(ok);
   }
-  if (pending_col_->size() >= emit_batch_size_) FlushPendingColumnar();
-}
-
-void Source::SetColumnarEmit(bool enabled) {
-  FlushPendingBatch();
-  columnar_emit_ = enabled;
+  if (pending_->size() >= emit_batch_size_) FlushPendingBatch();
 }
 
 void Source::DeclareOutputSchema(SchemaPtr schema) {
@@ -132,8 +102,10 @@ void Source::PushColumnar(ColumnarBatchPtr batch) {
   if (epoch_interval_ != 0) {
     // The epoch/replay machinery (observer records, barrier counting,
     // resume skip) is per-element: unbundle onto the exact Push path.
-    TupleBatch rows = columnar::MaterializeAndRelease(std::move(batch));
-    for (Tuple& tuple : rows) Push(std::move(tuple));
+    for (size_t i = 0; i < batch->size(); ++i) {
+      Push(batch->MaterializeRow(i));
+    }
+    columnar::ReleaseBatch(std::move(batch));
     return;
   }
   DCHECK(!closed_by_driver_) << DebugString() << " pushed after Close";
@@ -167,12 +139,7 @@ void Source::PushEpochs(const Tuple& tuple) {
     stats().RecordProcessed(0.0);
   }
   if (emit_batch_size_ > 1) {
-    if (columnar_emit_) {
-      AppendPendingColumnar(tuple);
-    } else {
-      pending_.PushBack(tuple);
-      if (pending_.size() >= emit_batch_size_) FlushPendingBatch();
-    }
+    AppendPending(tuple);
   } else {
     Emit(tuple);
   }
@@ -230,9 +197,7 @@ void Source::RewindTo(uint64_t epoch) {
 void Source::Reset() {
   Operator::Reset();
   closed_by_driver_ = false;
-  pending_.clear();
-  columnar::ReleaseBatch(std::move(pending_col_));
-  pending_col_.reset();
+  columnar::ReleaseBatch(std::move(pending_));
 }
 
 void Source::Process(const Tuple& tuple, int port) {

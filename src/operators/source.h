@@ -47,48 +47,40 @@ class Source : public Operator {
   explicit Source(std::string name);
 
   /// Delivers one data element downstream (in the calling thread). With an
-  /// emit batch size > 1, the element is accumulated instead and delivered
-  /// as part of the next TupleBatch (DESIGN.md §11).
+  /// emit batch size > 1, the element is scattered into the pending
+  /// ColumnarBatch instead and delivered as part of it (DESIGN.md §17).
   void Push(const Tuple& tuple);
 
-  /// Move-aware Push: the element's payload is moved downstream (into the
-  /// accumulating batch, or — single subscriber — into the first Receive).
+  /// Move-aware Push: with per-tuple delivery the element's payload is
+  /// moved into the first Receive (the batch path copies it into columns).
   void Push(Tuple&& tuple);
 
   /// Emits the end-of-stream punctuation (flushing any pending batch
   /// first). Idempotent.
   void Close(AppTime timestamp = 0);
 
-  /// Batch accumulation (EngineOptions::emit_batch_size): sizes > 1 make
-  /// Push collect elements into a TupleBatch and emit it downstream once
-  /// full. Pending elements are flushed before every epoch barrier, before
-  /// Close's EOS, and by this call itself — batches never straddle a
-  /// punctuation. 0 is treated as 1 (per-tuple delivery, the default).
-  /// Engine-configured; call from the driving thread or while quiescent.
-  void SetEmitBatchSize(size_t batch_size);
+  /// Batch accumulation (EngineOptions::emit_batch_size, DESIGN.md §17):
+  /// sizes > 1 make Push scatter elements into a pooled ColumnarBatch and
+  /// emit it via EmitColumnar once full. The batch's schema is the
+  /// declared output schema when it matches the data, else inferred from
+  /// the first element; an element that stops matching flushes the batch
+  /// and starts a new one under the new schema, so mixed-type streams
+  /// degrade to smaller batches, never to wrong answers. Pending elements
+  /// are flushed before every epoch barrier, before Close's EOS, and by
+  /// this call itself — batches never straddle a punctuation. 0 is treated
+  /// as 1 (per-tuple delivery, the default). Engine-configured; call from
+  /// the driving thread or while quiescent.
+  void SetBatchSize(size_t batch_size);
   size_t emit_batch_size() const { return emit_batch_size_; }
 
   /// Thread-safe batch-size change request (the SLO controller's rung-2
   /// actuation): the new size is applied by the driving thread itself at
   /// its next Push (pending elements are flushed first, so batches never
   /// reorder across the change). 0 is treated as 1.
-  void RequestEmitBatchSize(size_t batch_size) {
+  void RequestBatchSize(size_t batch_size) {
     requested_batch_size_.store(batch_size == 0 ? 1 : batch_size,
                                 std::memory_order_relaxed);
   }
-
-  /// Columnar accumulation (EngineOptions::columnar, DESIGN.md §17): with
-  /// an emit batch size > 1, Push scatters elements into a pooled
-  /// ColumnarBatch instead of a row-wise TupleBatch and emits it via
-  /// EmitColumnar once full. The batch's schema is the declared output
-  /// schema when it matches the data, else inferred from the first
-  /// element; an element that stops matching flushes the batch and starts
-  /// a new one under the new schema, so mixed-type streams degrade to
-  /// smaller batches, never to wrong answers. Punctuation flushing rules
-  /// are identical to the row path. Engine-configured; call from the
-  /// driving thread or while quiescent.
-  void SetColumnarEmit(bool enabled);
-  bool columnar_emit() const { return columnar_emit_; }
 
   /// Declares the attribute types this source will push — the graph-build-
   /// time anchor of schema propagation (StreamEngine::Configure walks it
@@ -153,19 +145,18 @@ class Source : public Operator {
 
  private:
   void PushEpochs(const Tuple& tuple);
-  /// Emits the accumulated batch — row-wise or columnar — downstream.
+  /// Emits the accumulated batch downstream.
   void FlushPendingBatch();
-  /// Scatters one element into the pending columnar batch (creating it
-  /// from the pool on first use), flushing when full or on schema change.
-  void AppendPendingColumnar(const Tuple& tuple);
-  void FlushPendingColumnar();
-  /// Driving-thread check for a pending RequestEmitBatchSize; applies it
+  /// Scatters one element into the pending batch (creating it from the
+  /// pool on first use), flushing when full or on schema change.
+  void AppendPending(const Tuple& tuple);
+  /// Driving-thread check for a pending RequestBatchSize; applies it
   /// (flush + switch) when one differs from the current size. One relaxed
   /// load on the push path.
   void ApplyRequestedBatchSize() {
     const size_t requested =
         requested_batch_size_.load(std::memory_order_relaxed);
-    if (requested != emit_batch_size_) SetEmitBatchSize(requested);
+    if (requested != emit_batch_size_) SetBatchSize(requested);
   }
 
   bool closed_by_driver_ = false;
@@ -174,11 +165,7 @@ class Source : public Operator {
   size_t emit_batch_size_ = 1;
   // Cross-thread change request, applied by the driving thread.
   std::atomic<size_t> requested_batch_size_{1};
-  TupleBatch pending_;
-
-  // Columnar accumulation (driving-thread only).
-  bool columnar_emit_ = false;
-  ColumnarBatchPtr pending_col_;
+  ColumnarBatchPtr pending_;
   SchemaPtr declared_schema_;  // user declaration (DeclareOutputSchema)
   SchemaPtr batch_schema_;     // working schema of the current batches
 

@@ -17,7 +17,6 @@ SymmetricHashJoin::SymmetricHashJoin(std::string name, AppTime window_micros,
       window_micros_(window_micros) {
   sides_[kLeftPort].key_attr = left_key_attr;
   sides_[kRightPort].key_attr = right_key_attr;
-  MarkColumnarNative();
 }
 
 void SymmetricHashJoin::Reset() {
@@ -59,7 +58,10 @@ void SymmetricHashJoin::Process(const Tuple& tuple, int port) {
   Side& own = sides_[port];
   Side& other = sides_[1 - port];
   const AppTime watermark = tuple.timestamp() - window_micros_;
-  own.ExpireBefore(watermark);
+  // Only the other side expires: every later arrival on this port has a
+  // timestamp >= this one, so other-side elements older than the watermark
+  // can never join again. This side's elements must stay until the other
+  // input has advanced past them — it may still be draining older ones.
   other.ExpireBefore(watermark);
   const Value key = tuple.at(own.key_attr);
   auto it = other.table.find(key);
@@ -90,7 +92,7 @@ void SymmetricHashJoin::ProcessColumnar(ColumnarBatchPtr batch, int port) {
   Side& other = sides_[1 - port];
   const Schema& schema = batch->schema();
   if (own.key_attr >= schema.arity()) {
-    ProcessBatch(columnar::MaterializeAndRelease(std::move(batch)), port);
+    Operator::ProcessColumnar(std::move(batch), port);
     return;
   }
   const Value::Type key_type = schema.type(own.key_attr);
@@ -101,7 +103,6 @@ void SymmetricHashJoin::ProcessColumnar(ColumnarBatchPtr batch, int port) {
   const size_t n = batch->size();
   for (size_t i = 0; i < n; ++i) {
     const AppTime watermark = ts[i] - window_micros_;
-    own.ExpireBefore(watermark);
     other.ExpireBefore(watermark);
     Value key;
     if (int_keys != nullptr) {

@@ -2,10 +2,19 @@
 //
 // The join of Section 6.3's decoupling experiment. Each side maintains a
 // hash table keyed on its join attribute plus an expiration queue; an
-// arriving element expires both windows to its watermark, probes the
-// opposite hash table, emits one concatenated result per match, and is
-// inserted into its own side. Output attribute order is always
-// (left-tuple attrs, right-tuple attrs) regardless of which side arrived.
+// arriving element expires the *opposite* window to its watermark
+// (timestamp - window), probes the opposite hash table, emits one
+// concatenated result per match in the window band, and is inserted into
+// its own side. Output attribute order is always (left-tuple attrs,
+// right-tuple attrs) regardless of which side arrived.
+//
+// The result multiset does not depend on the schedule. Each input is
+// timestamp-ordered, but the two inputs may be drained by different
+// threads, so one side can run far ahead of the other. Expiring only the
+// opposite side keeps a stored element until every possible partner has
+// probed it: an element leaves once the other input has advanced past its
+// window. The price is that an idle input stops the other side's expiry,
+// so that side's state grows until the idle input advances or closes.
 
 #ifndef FLEXSTREAM_OPERATORS_SYMMETRIC_HASH_JOIN_H_
 #define FLEXSTREAM_OPERATORS_SYMMETRIC_HASH_JOIN_H_

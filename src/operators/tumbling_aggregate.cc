@@ -14,7 +14,6 @@ TumblingAggregate::TumblingAggregate(std::string name, Options options)
     : Operator(Kind::kOperator, std::move(name), /*input_arity=*/1),
       options_(options) {
   CHECK_GT(options.window_micros, 0);
-  MarkColumnarNative();
 }
 
 SchemaPtr TumblingAggregate::InferOutputSchema(
@@ -111,7 +110,7 @@ void TumblingAggregate::ProcessColumnar(ColumnarBatchPtr batch, int port) {
   const bool group_ok =
       !options_.group_attr || *options_.group_attr < schema.arity();
   if (!value_ok || !group_ok) {
-    ProcessBatch(columnar::MaterializeAndRelease(std::move(batch)), port);
+    Operator::ProcessColumnar(std::move(batch), port);
     return;
   }
   const size_t n = batch->size();

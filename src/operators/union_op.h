@@ -28,11 +28,9 @@ class UnionOp : public Operator {
 
  protected:
   void Process(const Tuple& tuple, int port) override;
-  /// Batch-native path: forwards the batch whole (bag union is a no-op on
-  /// the payload; per-input order is preserved because a batch is a
-  /// contiguous run from one producer).
-  void ProcessBatch(TupleBatch&& batch, int port) override;
-  /// Columnar passthrough: a pointer move, zero per-row work.
+  /// Batch passthrough: a pointer move, zero per-row work (bag union is a
+  /// no-op on the payload; per-input order is preserved because a batch
+  /// is a contiguous run from one producer).
   void ProcessColumnar(ColumnarBatchPtr batch, int port) override;
 };
 

@@ -17,23 +17,22 @@ std::atomic<uint64_t> g_arrival_seq{0};
 /// by Partition::RunLoop; used for the kBlock self-deadlock bypass.
 thread_local const void* tl_drain_context = nullptr;
 
-/// Reusable drain staging: every locked drain path (and the SPSC batch
-/// path) gathers its barrier-free run into a TupleBatch taken from here,
-/// so repeated drains reuse the vector's capacity. The scratch is *stolen*
-/// (moved out, restored after) rather than referenced in place, so a
-/// re-entrant drain — a downstream operator draining another queue inside
-/// Emit — cannot clobber an outer drain's batch.
-thread_local TupleBatch tl_drain_scratch;
+/// Reusable drain staging: every locked drain path gathers its run into a
+/// vector taken from here, so repeated drains reuse its capacity. The
+/// scratch is *stolen* (moved out, restored after) rather than referenced
+/// in place, so a re-entrant drain — a downstream operator draining
+/// another queue inside Emit — cannot clobber an outer drain's run.
+thread_local std::vector<Tuple> tl_drain_scratch;
 
-TupleBatch StealDrainScratch() {
-  TupleBatch batch = std::move(tl_drain_scratch);
-  batch.clear();
-  return batch;
+std::vector<Tuple> StealDrainScratch() {
+  std::vector<Tuple> run = std::move(tl_drain_scratch);
+  run.clear();
+  return run;
 }
 
-void RestoreDrainScratch(TupleBatch&& batch) {
-  batch.clear();
-  tl_drain_scratch = std::move(batch);
+void RestoreDrainScratch(std::vector<Tuple>&& run) {
+  run.clear();
+  tl_drain_scratch = std::move(run);
 }
 
 }  // namespace
@@ -102,29 +101,21 @@ void QueueOp::Receive(Tuple&& tuple, int port) {
   Enqueue(std::move(tuple), is_barrier);
 }
 
-void QueueOp::ReceiveBatch(TupleBatch&& batch, int port) {
-  (void)port;
-  if (batch.empty()) return;
-  if (max_elements_ != 0) {
-    // Bounded: every admit/shed/block decision (and its drop counters)
-    // must see one element at a time — unbundle onto the per-tuple path.
-    for (Tuple& tuple : batch) Enqueue(std::move(tuple));
-    return;
-  }
-  EnqueueBatch(std::move(batch));
-}
-
 void QueueOp::ReceiveColumnar(ColumnarBatchPtr batch, int port) {
   (void)port;
   if (batch == nullptr || batch->empty()) {
     columnar::ReleaseBatch(std::move(batch));
     return;
   }
-  if (max_elements_ != 0 || !batch_delivery()) {
-    // Bounded: every admit/shed/block decision must see one element at a
-    // time. Per-tuple delivery: a boxed batch would only be unboxed again
-    // at the drain. Either way, materialize onto the row-wise path.
-    ReceiveBatch(columnar::MaterializeAndRelease(std::move(batch)), port);
+  if (max_elements_ != 0) {
+    // Bounded: every admit/shed/block decision (and its drop counters)
+    // must see one element at a time — materialize at the door. The whole
+    // batch is materialized before the first Enqueue: interleaving the two
+    // slows the enqueue loop enough for the consumer to drain to empty
+    // between rows, which multiplies its wakeups.
+    for (Tuple& tuple : columnar::MaterializeAndRelease(std::move(batch))) {
+      Enqueue(std::move(tuple));
+    }
     return;
   }
   EnqueueColumnar(std::move(batch));
@@ -165,53 +156,6 @@ void QueueOp::EmitColumnarDrained(ColumnarBatchPtr col) {
     stats().RecordProcessedBatch(0.0, static_cast<int64_t>(col->size()));
   }
   EmitColumnar(std::move(col));
-}
-
-void QueueOp::EnqueueBatch(TupleBatch&& batch) {
-  const size_t n = batch.size();
-  const bool single = single_producer();
-  if (StatsCollectionEnabled()) {
-    stats().RecordArrivalBatch(Now(), static_cast<int64_t>(n));
-  }
-  if (single) {
-    DCHECK(!InputClosed()) << DebugString() << " data after close";
-    // One sequence-range allocation for the whole batch instead of one
-    // atomic RMW per element. The range is claimed in push order, so both
-    // the ring and any spillover stay individually sequence-ordered (as in
-    // Enqueue), and the spilled suffix carries the larger numbers — exactly
-    // what the consumer's seq-merge expects.
-    const uint64_t base = g_arrival_seq.fetch_add(n, std::memory_order_relaxed);
-    const size_t chunk = std::min(ring_->FreeForProducer(n), n);
-    if (chunk > 0) {
-      // Bulk push: n slot writes, ONE head publish (vs one per element).
-      ring_->PushBulkUnchecked(chunk, [&](size_t i) {
-        return Item{std::move(batch[i]), base + i};
-      });
-      ring_pushes_.store(ring_pushes_.load(std::memory_order_relaxed) + chunk,
-                         std::memory_order_relaxed);
-    }
-    if (chunk < n) {
-      // Ring full: spill the suffix under one lock acquisition.
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (size_t i = chunk; i < n; ++i) {
-        items_.push_back({std::move(batch[i]), base + i});
-      }
-      overflow_count_.fetch_add(n - chunk, std::memory_order_release);
-      locked_pushes_.store(
-          locked_pushes_.load(std::memory_order_relaxed) + (n - chunk),
-          std::memory_order_relaxed);
-    }
-  } else {
-    std::lock_guard<std::mutex> lock(mutex_);
-    DCHECK(!eos_enqueued_) << DebugString() << " data after close";
-    // The range is drawn under the lock, so the deque stays
-    // sequence-ordered even when several producers race (as in Enqueue).
-    const uint64_t base = g_arrival_seq.fetch_add(n, std::memory_order_relaxed);
-    for (size_t i = 0; i < n; ++i) {
-      items_.push_back({std::move(batch[i]), base + i});
-    }
-  }
-  CountQueuedBatchAndMaybeNotify(n, single);
 }
 
 void QueueOp::Enqueue(Tuple&& tuple, bool is_barrier) {
@@ -480,17 +424,15 @@ void QueueOp::NotifyListener() {
 size_t QueueOp::DrainBatch(size_t max_elements) {
   if (single_producer()) return DrainBatchSingleProducer(max_elements);
 
-  // MPSC: one lock acquisition per barrier-free run. The run is drained
-  // directly into a TupleBatch (stolen from a thread-local so repeated
-  // drains reuse its capacity) and emitted outside the lock — per-tuple or
-  // as one downstream ReceiveBatch, per batch_delivery(). Punctuations end
-  // the run: the accumulated batch is flushed first, then the punctuation
-  // travels the per-tuple path, so a batch never straddles a barrier or
-  // EOS. Barriers are rare (one per checkpoint epoch), so the extra lock
-  // acquisition per barrier is noise.
+  // MPSC: one lock acquisition per run. The run is staged into a vector
+  // (stolen from a thread-local so repeated drains reuse its capacity) and
+  // emitted tuple by tuple outside the lock. Boxed batches and
+  // punctuations end the run: the staged prefix is emitted first, then the
+  // box or punctuation. Barriers are rare (one per checkpoint epoch), so
+  // the extra lock acquisition per barrier is noise.
   size_t total_taken = 0;
   for (;;) {
-    TupleBatch batch = StealDrainScratch();
+    std::vector<Tuple> run = StealDrainScratch();
     bool eos_taken = false;
     AppTime eos_ts = 0;
     bool barrier_taken = false;
@@ -501,10 +443,10 @@ size_t QueueOp::DrainBatch(size_t max_elements) {
       std::lock_guard<std::mutex> lock(mutex_);
       while (total_taken + taken < max_elements && !items_.empty()) {
         Item& front = items_.front();
-        if (front.col != nullptr) [[unlikely]] {
-          // Boxed columnar batch: it cannot join the row batch, so it ends
-          // the run like a punctuation does — except it is data, emitted
-          // (outside the lock) right after the accumulated prefix.
+        if (front.col != nullptr) {
+          // Boxed batch: it ends the run like a punctuation does — except
+          // it is data, emitted (outside the lock) right after the staged
+          // prefix.
           col_taken = std::move(front.col);
           items_.pop_front();
           taken += col_taken->size();
@@ -523,7 +465,7 @@ size_t QueueOp::DrainBatch(size_t max_elements) {
           ++taken;
           break;
         }
-        batch.PushBack(std::move(front.tuple));
+        run.push_back(std::move(front.tuple));
         items_.pop_front();
         ++taken;
       }
@@ -531,10 +473,10 @@ size_t QueueOp::DrainBatch(size_t max_elements) {
     FinishDequeue(taken, eos_taken);
     total_taken += taken;
     if (test_fault() == TestFault::kReorderDrainBatch) [[unlikely]] {
-      std::reverse(batch.begin(), batch.end());
+      std::reverse(run.begin(), run.end());
     }
-    EmitDrainedBatch(&batch);
-    RestoreDrainScratch(std::move(batch));
+    EmitDrainedRun(&run);
+    RestoreDrainScratch(std::move(run));
     if (col_taken != nullptr) {
       EmitColumnarDrained(std::move(col_taken));
       if (total_taken < max_elements) continue;
@@ -548,37 +490,32 @@ size_t QueueOp::DrainBatch(size_t max_elements) {
   }
 }
 
-void QueueOp::EmitDrainedBatch(TupleBatch* batch) {
-  if (batch->empty()) return;
-  if (batch_delivery()) {
-    if (StatsCollectionEnabled()) {
-      stats().RecordProcessedBatch(0.0, static_cast<int64_t>(batch->size()));
+void QueueOp::EmitDrainedRun(std::vector<Tuple>* run) {
+  if (run->empty()) return;
+  // A decoupling queue almost always has exactly one subscriber: deliver
+  // straight into it, skipping EmitMove's fan-out loop, and record the
+  // run's stats once.
+  const bool direct = outputs().size() == 1;
+  for (Tuple& tuple : *run) {
+    if (direct) {
+      SetDeliverySender(this);
+      outputs()[0].target->Receive(std::move(tuple), outputs()[0].port);
+    } else {
+      EmitMove(std::move(tuple));
     }
-    EmitBatch(std::move(*batch));
-    batch->clear();  // normalize the moved-from state
-    return;
   }
-  for (Tuple& tuple : *batch) {
-    if (StatsCollectionEnabled()) stats().RecordProcessed(0.0);
-    EmitMove(std::move(tuple));
+  if (StatsCollectionEnabled()) {
+    const int64_t n = static_cast<int64_t>(run->size());
+    stats().RecordProcessedBatch(0.0, n);
+    if (direct) stats().RecordEmitted(n);  // EmitMove counts its own
   }
-  batch->clear();
+  run->clear();
 }
 
 size_t QueueOp::DrainBatchSingleProducer(size_t max_elements) {
   size_t taken = 0;
   bool eos_taken = false;
   AppTime eos_ts = 0;
-  // Hot-path specialization: a decoupling queue almost always has exactly
-  // one subscriber, so hoist the fan-out dispatch (and the stats check)
-  // out of the per-element loop. Sampling the stats toggle once per batch
-  // is fine — it is a test/bench switch, not runtime state.
-  Operator* direct = nullptr;
-  int direct_port = 0;
-  if (outputs().size() == 1 && !StatsCollectionEnabled()) {
-    direct = outputs()[0].target;
-    direct_port = outputs()[0].port;
-  }
   while (taken < max_elements && !eos_taken) {
     // Order matters: observe the available ring contents (an acquire load
     // of the producer's head index, possibly cached from an earlier one)
@@ -593,108 +530,52 @@ size_t QueueOp::DrainBatchSingleProducer(size_t max_elements) {
       continue;
     }
     if (avail == 0) break;
-    size_t run = std::min(avail, max_elements - taken);
+    const size_t run = std::min(avail, max_elements - taken);
     // Claim the whole run up front: the acq_rel RMW on queued_items_ is
     // what the coalesced-wakeup protocol orders against (see
     // CountQueuedAndMaybeNotify), and it must precede the empty check that
     // ends this drain. Size() undercounting the claimed-but-unemitted
     // items is fine — only this consumer thread acts on the difference.
     queued_items_.fetch_sub(run, std::memory_order_acq_rel);
-    if (batch_delivery()) {
-      // Batch delivery: move the claimed run out of the ring into a
-      // TupleBatch and hand it downstream as one ReceiveBatch call.
-      // Punctuations split the run — the accumulated prefix is flushed
-      // before the punctuation travels the per-tuple path. The run's slots
-      // are peeked in place and released with ONE tail publish at the end
-      // (vs one per element); the producer cannot rewrite any of them
-      // until that publish, and holding them marginally longer only delays
-      // space reuse on an unbounded queue.
-      TupleBatch batch = StealDrainScratch();
-      batch.reserve(run);
-      size_t consumed = 0;
-      for (size_t i = 0; i < run; ++i) {
-        Item* front = ring_->AtFromFront(i);
-        if (front->col != nullptr) {
-          // Boxed columnar batch: flush the accumulated row prefix, then
-          // hand the box downstream whole. The box accounted for its row
-          // count in queued_items_ but occupies one ring slot — the claim
-          // above subtracted 1 for it, so settle the remainder here.
-          ColumnarBatchPtr col = std::move(front->col);
-          const size_t rows = col->size();
-          queued_items_.fetch_sub(rows - 1, std::memory_order_acq_rel);
-          EmitDrainedBatch(&batch);
-          EmitColumnarDrained(std::move(col));
-          ++consumed;
-          taken += rows;
-          continue;
-        }
-        if (front->tuple.is_eos()) {
-          DCHECK(i + 1 == run);  // nothing is ever enqueued after EOS
-          eos_taken = true;
-          eos_ts = front->tuple.timestamp();
-          eos_forwarded_.store(true, std::memory_order_release);
-          ++consumed;
-          break;
-        }
-        if (front->tuple.is_barrier()) [[unlikely]] {
-          EmitDrainedBatch(&batch);
-          EmitBarrier(front->tuple);
-          ++consumed;
-          ++taken;
-          continue;
-        }
-        batch.PushBack(std::move(front->tuple));
-        ++consumed;
-        ++taken;
-      }
-      ring_->PopFrontBulk(consumed);
-      EmitDrainedBatch(&batch);
-      RestoreDrainScratch(std::move(batch));
-      continue;
-    }
-    for (; run > 0; --run) {
-      Item* front = ring_->FrontMutable();
-      DCHECK(front != nullptr);  // single consumer: observed elements stay
-      if (front->col != nullptr) [[unlikely]] {
-        // A boxed batch left over from before a live batch-delivery
-        // downgrade: deliver it whole (delivery granularity is free to
-        // differ), settling the rows-vs-slot claim as above.
+    // The run's tuples are moved out of their slots into a scratch vector
+    // and the slots released with ONE tail publish, so a bounded producer
+    // can refill the ring while the run is processed downstream. Boxed
+    // batches and barriers end the staged prefix, which is emitted first.
+    std::vector<Tuple> staged = StealDrainScratch();
+    size_t consumed = 0;
+    while (consumed < run) {
+      Item* front = ring_->AtFromFront(consumed++);
+      if (front->col != nullptr) {
+        // Boxed batch: hand it downstream whole. The box accounted for its
+        // row count in queued_items_ but occupies one ring slot — the
+        // claim above subtracted 1 for it, so settle the remainder here.
         ColumnarBatchPtr col = std::move(front->col);
         const size_t rows = col->size();
         queued_items_.fetch_sub(rows - 1, std::memory_order_acq_rel);
-        ring_->PopFront();
+        EmitDrainedRun(&staged);
         EmitColumnarDrained(std::move(col));
         taken += rows;
         continue;
       }
       if (front->tuple.is_eos()) {
-        DCHECK(run == 1);  // nothing is ever enqueued after EOS
+        DCHECK(consumed == run);  // nothing is ever enqueued after EOS
         eos_taken = true;
         eos_ts = front->tuple.timestamp();
         eos_forwarded_.store(true, std::memory_order_release);
-        ring_->PopFront();
         break;
       }
       if (front->tuple.is_barrier()) [[unlikely]] {
+        EmitDrainedRun(&staged);
         EmitBarrier(front->tuple);
-        ring_->PopFront();
         ++taken;
         continue;
       }
-      // No lock is held on this path, so emit straight out of the ring
-      // slot — the producer cannot rewrite it until PopFront advances the
-      // tail, and downstream adopts the payload in place. No scratch
-      // staging, two moves per element fewer than the locked paths.
-      if (direct != nullptr) {
-        SetDeliverySender(this);
-        direct->Receive(std::move(front->tuple), direct_port);
-      } else {
-        if (StatsCollectionEnabled()) stats().RecordProcessed(0.0);
-        EmitMove(std::move(front->tuple));
-      }
-      ring_->PopFront();
+      staged.push_back(std::move(front->tuple));
       ++taken;
     }
+    ring_->PopFrontBulk(consumed);
+    EmitDrainedRun(&staged);
+    RestoreDrainScratch(std::move(staged));
   }
   // The lock-free ring path above frees space without going through
   // FinishDequeue, so wake blocked producers here.
@@ -706,11 +587,11 @@ size_t QueueOp::DrainBatchSingleProducer(size_t max_elements) {
 size_t QueueOp::DrainMergeLocked(size_t max_elements, bool* eos_taken,
                                  AppTime* eos_ts) {
   // Spillover present: merge ring and deque by sequence number under the
-  // lock until the spillover is drained, gathering directly into a
-  // TupleBatch and emitting outside the lock (same stealing discipline as
-  // the MPSC path). A punctuation ends the merge run — the caller's drain
-  // loop re-enters while spillover remains.
-  TupleBatch batch = StealDrainScratch();
+  // lock until the spillover is drained, staging the run and emitting
+  // outside the lock (same stealing discipline as the MPSC path). A boxed
+  // batch or punctuation ends the merge run — the caller's drain loop
+  // re-enters while spillover remains.
+  std::vector<Tuple> run = StealDrainScratch();
   bool barrier_taken = false;
   Tuple barrier;
   ColumnarBatchPtr col_taken;
@@ -728,9 +609,9 @@ size_t QueueOp::DrainMergeLocked(size_t max_elements, bool* eos_taken,
         items_.pop_front();
         overflow_count_.fetch_sub(1, std::memory_order_release);
       }
-      if (item.col != nullptr) [[unlikely]] {
-        // Boxed columnar batch: ends the merge run like a punctuation
-        // (it cannot join the row batch), emitted after the prefix below.
+      if (item.col != nullptr) {
+        // Boxed batch: ends the merge run like a punctuation, emitted
+        // after the staged prefix below.
         col_taken = std::move(item.col);
         taken += col_taken->size();
         break;
@@ -746,17 +627,17 @@ size_t QueueOp::DrainMergeLocked(size_t max_elements, bool* eos_taken,
         ++taken;
         break;
       }
-      batch.PushBack(std::move(item.tuple));
+      run.push_back(std::move(item.tuple));
       ++taken;
     }
   }
   FinishDequeue(taken, *eos_taken);
 
   if (test_fault() == TestFault::kReorderDrainBatch) [[unlikely]] {
-    std::reverse(batch.begin(), batch.end());
+    std::reverse(run.begin(), run.end());
   }
-  EmitDrainedBatch(&batch);
-  RestoreDrainScratch(std::move(batch));
+  EmitDrainedRun(&run);
+  RestoreDrainScratch(std::move(run));
   if (col_taken != nullptr) EmitColumnarDrained(std::move(col_taken));
   if (barrier_taken) EmitBarrier(barrier);
   return taken;

@@ -108,22 +108,14 @@ class QueueOp final : public Operator {
   /// values vector. Used by upstream EmitMove.
   void Receive(Tuple&& tuple, int port) override;
 
-  /// Batch enqueue (DESIGN.md §11): adopts every element of `batch`.
-  /// Unbounded queues take a bulk path — one stats update, one lock
-  /// acquisition (MPSC) or a straight run of ring pushes (SPSC), and one
-  /// queued-count/notify update for the whole batch. Bounded queues
-  /// unbundle into per-element Enqueue calls so every admit/shed/block
-  /// decision and its counters see elements one at a time, exactly as the
-  /// per-tuple contract specifies.
-  void ReceiveBatch(TupleBatch&& batch, int port) override;
-
-  /// Columnar enqueue (DESIGN.md §17): an unbounded batch-delivery queue
-  /// boxes the whole typed batch into ONE queue item — a unique_ptr move
-  /// through the ring or deque instead of N row moves — owning a
-  /// contiguous run of arrival seqs (the head seq orders the box in the
-  /// FIFO merge; the queued count reflects every row). Bounded queues and
-  /// per-tuple-delivery queues materialize to rows at the door so every
-  /// admit/shed/block decision still sees elements one at a time.
+  /// Batch enqueue (DESIGN.md §17): an unbounded queue boxes the whole
+  /// typed batch into ONE queue item — a unique_ptr move through the ring
+  /// or deque instead of N row moves — owning a contiguous run of arrival
+  /// seqs (the head seq orders the box in the FIFO merge; the queued count
+  /// reflects every row), and the drain hands it downstream whole. A
+  /// bounded queue materializes the batch at the door, so every
+  /// admit/shed/block decision and its counters see elements one at a
+  /// time, exactly as the per-tuple contract specifies.
   void ReceiveColumnar(ColumnarBatchPtr batch, int port) override;
 
   /// Queues are schema-transparent; this passthrough lets the engine's
@@ -134,33 +126,14 @@ class QueueOp final : public Operator {
   }
 
   /// Dequeues up to `max_elements` data elements (plus a trailing EOS if it
-  /// becomes due) and pushes them downstream in the calling thread. On the
-  /// locked paths (MPSC, SPSC spill merge) the lock is taken once per
-  /// barrier-free run — elements are drained directly into a TupleBatch
-  /// and emitted outside the lock; on the lock-free SPSC path elements are
-  /// emitted straight from the ring when delivering per-tuple, or gathered
-  /// into a TupleBatch when batch delivery is enabled. Punctuations always
-  /// split the run: the accumulated batch is flushed first, then the
-  /// barrier/EOS travels the per-tuple path.
+  /// becomes due) and pushes them downstream in the calling thread: tuple
+  /// items one by one, boxed batches whole. On the locked paths (MPSC,
+  /// SPSC spill merge) the lock is taken once per run — tuples are staged
+  /// into a scratch vector and emitted outside the lock; on the lock-free
+  /// SPSC path they are emitted straight from the ring. Boxed batches and
+  /// punctuations end a staged run: the staged prefix is emitted first.
   /// Returns the number of data elements drained. Single-consumer.
   size_t DrainBatch(size_t max_elements);
-
-  /// Downstream delivery granularity. When enabled, each drained
-  /// barrier-free run of data elements is pushed downstream as a single
-  /// ReceiveBatch call instead of N per-element EmitMove calls; the
-  /// engine enables it when EngineOptions::emit_batch_size > 1. Configure
-  /// while quiescent. Survives Reset like the bound (it is configuration,
-  /// not run state), so recovery keeps the delivery granularity.
-  /// Thread-safe (atomic flag): the SLO controller toggles it live when it
-  /// raises/lowers the emit batch size; per-tuple and batch delivery are
-  /// semantically identical, so the consumer observing the change one
-  /// drain late is harmless.
-  void SetBatchDelivery(bool enabled) {
-    batch_delivery_.store(enabled, std::memory_order_relaxed);
-  }
-  bool batch_delivery() const {
-    return batch_delivery_.load(std::memory_order_relaxed);
-  }
 
   /// Current number of queued data elements, derived from the total
   /// queued-item counter minus a still-queued EOS punctuation. Exact
@@ -357,11 +330,8 @@ class QueueOp final : public Operator {
   };
 
   void Enqueue(Tuple&& tuple, bool is_barrier = false);
-  /// Bulk enqueue for an unbounded queue: one stats update, one lock (or a
-  /// run of ring pushes), one queued-count bump for the whole batch.
-  void EnqueueBatch(TupleBatch&& batch);
-  /// Boxes a columnar batch into one queue item (unbounded + batch
-  /// delivery only; see ReceiveColumnar).
+  /// Boxes a columnar batch into one queue item (unbounded queues only;
+  /// see ReceiveColumnar).
   void EnqueueColumnar(ColumnarBatchPtr batch);
   /// Forwards a drained boxed batch downstream (stats + EmitColumnar).
   void EmitColumnarDrained(ColumnarBatchPtr col);
@@ -383,16 +353,14 @@ class QueueOp final : public Operator {
   /// the empty -> non-empty transition (count == n after the add).
   void CountQueuedBatchAndMaybeNotify(size_t n, bool single);
   void NotifyListener();
-  /// Emits a drained barrier-free run downstream: as one ReceiveBatch call
-  /// when batch delivery is enabled, else per-tuple EmitMove. Leaves
-  /// `batch` empty either way.
-  void EmitDrainedBatch(TupleBatch* batch);
-  /// SPSC consumer path: drains observed ring runs lock-free and emits
-  /// straight from each pop (no lock is held, so no scratch staging);
-  /// falls into DrainMergeLocked whenever spillover is present.
+  /// Emits a staged run downstream tuple by tuple and leaves `run` empty.
+  void EmitDrainedRun(std::vector<Tuple>* run);
+  /// SPSC consumer path: drains observed ring runs lock-free, staging
+  /// each run and releasing its slots before emitting it; falls into
+  /// DrainMergeLocked whenever spillover is present.
   size_t DrainBatchSingleProducer(size_t max_elements);
   /// Merges ring and spillover deque by sequence number under the lock,
-  /// draining directly into a TupleBatch and emitting outside the lock.
+  /// staging the run into a scratch vector and emitting outside the lock.
   /// A punctuation ends the merge run (the caller's loop re-enters while
   /// spillover remains). Returns the number of data items taken (barriers
   /// included) and sets `eos_taken`/`eos_ts`.
@@ -408,7 +376,6 @@ class QueueOp final : public Operator {
   // --- bound configuration (written while quiescent, read by producers;
   // the atomics additionally admit the controller's live flips) ----------
   size_t max_elements_ = 0;  // 0 = unbounded
-  std::atomic<bool> batch_delivery_{false};  // ReceiveBatch vs per-tuple
   std::atomic<OverloadPolicy> overload_policy_{OverloadPolicy::kBlock};
   Duration block_timeout_ = std::chrono::seconds(2);
   const void* owner_ = nullptr;  // draining context, for self-block bypass

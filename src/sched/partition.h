@@ -39,9 +39,9 @@ class Partition : private QueueOp::SlotYielder {
     /// Max elements drained per strategy decision. This is the
     /// *scheduling* granularity (how often the level-2 strategy re-picks a
     /// queue), orthogonal to the *delivery* granularity of
-    /// EngineOptions::emit_batch_size: with batch delivery enabled, one
-    /// drain of `batch_size` elements leaves the queue as
-    /// ceil(batch_size / emit_batch_size)-ish downstream ReceiveBatch
+    /// EngineOptions::emit_batch_size: with batching enabled, one drain
+    /// of `batch_size` elements leaves an unbounded queue as
+    /// ceil(batch_size / emit_batch_size)-ish downstream ReceiveColumnar
     /// calls (runs are capped by what is actually queued). Keeping
     /// batch_size >= emit_batch_size preserves full delivery batches; see
     /// bench/ablation_batch_quantum.cc for the interplay.

@@ -1,14 +1,22 @@
 #include "stats/op_stats.h"
 
+#include <chrono>
 #include <limits>
 
 namespace flexstream {
+namespace {
+
+/// Fractional microseconds: sub-microsecond gaps must not truncate to 0.
+double GapMicros(TimePoint from, TimePoint to) {
+  return std::chrono::duration<double, std::micro>(to - from).count();
+}
+
+}  // namespace
 
 void OpStats::RecordArrival(TimePoint now) {
   arrivals_.fetch_add(1, std::memory_order_relaxed);
   if (has_last_arrival_) {
-    const double gap =
-        static_cast<double>(ToMicros(now - last_arrival_));
+    const double gap = GapMicros(last_arrival_, now);
     gap_ewma_.Add(gap);
     interarrival_micros_.store(gap_ewma_.value(), std::memory_order_relaxed);
   }
@@ -30,8 +38,8 @@ void OpStats::RecordArrivalBatch(TimePoint now, int64_t n) {
   if (has_last_arrival_) {
     // The batch arrived as one unit: spread the observed gap across its
     // elements so the EWMA keeps estimating a per-element inter-arrival.
-    const double gap = static_cast<double>(ToMicros(now - last_arrival_)) /
-                       static_cast<double>(n);
+    const double gap =
+        GapMicros(last_arrival_, now) / static_cast<double>(n);
     gap_ewma_.Add(gap);
     interarrival_micros_.store(gap_ewma_.value(), std::memory_order_relaxed);
   }

@@ -31,7 +31,7 @@ class OpStats {
   /// Records one processed element costing `micros` of CPU (updates c(v)).
   void RecordProcessed(double micros);
 
-  // Batch analogues (DESIGN.md §11): record `n` elements with one clock
+  // Batch analogues (DESIGN.md §17): record `n` elements with one clock
   // read and one EWMA update each, so batch delivery amortizes the stats
   // bookkeeping too. The per-element estimates stay meaningful — the
   // batch's gap/cost is spread evenly across its elements, keeping d(v)

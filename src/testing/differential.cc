@@ -89,7 +89,6 @@ EngineOptions EngineOptionsForConfig(const DiffConfig& config) {
   options.overload_policy = config.overload_policy;
   options.checkpoint_epoch_interval = config.checkpoint_epoch_interval;
   options.emit_batch_size = config.emit_batch_size;
-  options.columnar = config.columnar;
   if (config.watchdog) {
     // Comfortably above the partitions' 100ms idle-poll failsafe, so a
     // chaos-suppressed wakeup recovered by the poll never reads as a stall.
@@ -210,7 +209,6 @@ std::string DiffConfig::Name() const {
   }
   if (watchdog) os << "+watchdog";
   if (emit_batch_size > 1) os << "+batch" << emit_batch_size;
-  if (columnar) os << "+col";
   if (shard_count > 0) {
     os << "+shard" << shard_count << (shard_unordered ? "u" : "o");
     if (kill_shard_replica >= 0) os << "+killrep" << kill_shard_replica;
@@ -293,11 +291,12 @@ std::vector<DiffConfig> DefaultConfigMatrix() {
   add(ExecutionMode::kHmts, StrategyKind::kFifo, PlacementKind::kSegment,
       QueuePathMode::kAuto, kRing, false);
 
-  // Batch delivery axis: sources bundle elements into TupleBatches and
-  // queues hand each drained run downstream as one ReceiveBatch call.
-  // Results must stay byte-identical to per-tuple execution for every
-  // batch size, down both queue paths, through spillover, and under
-  // burst arrival (where whole-stream batches pile into the queues).
+  // Batch axis (DESIGN.md §17): sources scatter elements into typed
+  // ColumnarBatches, kernels run vectorized with in-place compaction,
+  // queues box whole batches, and per-row fallback boundaries take them
+  // row by row. Results must stay byte-identical to per-tuple execution
+  // for every batch size, down both queue paths, through spillover, and
+  // under burst arrival (where whole-stream batches pile into the queues).
   auto add_batch = [&configs](ExecutionMode mode, QueuePathMode queue_path,
                               size_t ring, bool burst, size_t batch) {
     DiffConfig config;
@@ -314,43 +313,14 @@ std::vector<DiffConfig> DefaultConfigMatrix() {
     add_batch(ExecutionMode::kGts, QueuePathMode::kAuto, kRing, false, batch);
     add_batch(ExecutionMode::kGts, QueuePathMode::kForceMpsc, kRing, false,
               batch);
-    // Tiny ring: every batch enqueue overflows into the spillover deque,
-    // so drains exercise the seq-merge path with batch delivery on.
+    // Tiny ring: every boxed batch overflows into the spillover deque, so
+    // drains exercise the seq-merge path with boxed items in flight.
     add_batch(ExecutionMode::kGts, QueuePathMode::kAuto, 2, false, batch);
     add_batch(ExecutionMode::kOts, QueuePathMode::kAuto, kRing, false, batch);
     add_batch(ExecutionMode::kHmts, QueuePathMode::kAuto, kRing, false, batch);
   }
   add_batch(ExecutionMode::kHmts, QueuePathMode::kForceMpsc, kRing, false, 64);
   add_batch(ExecutionMode::kGts, QueuePathMode::kAuto, kRing, true, 64);
-
-  // Columnar axis (DESIGN.md §17): the same topologies with the typed
-  // columnar layer on — sources scatter accumulated elements into
-  // ColumnarBatches, typed kernels run vectorized with in-place
-  // compaction, queues box whole batches, and fallback boundaries
-  // materialize back to rows. Representation must never change results:
-  // byte-identical to the row-wise path everywhere.
-  auto add_col = [&configs](ExecutionMode mode, QueuePathMode queue_path,
-                            size_t ring, bool burst, size_t batch) {
-    DiffConfig config;
-    config.mode = mode;
-    config.queue_path = queue_path;
-    config.ring_capacity = ring;
-    config.feed_before_start = burst;
-    config.emit_batch_size = batch;
-    config.columnar = true;
-    configs.push_back(config);
-  };
-  for (size_t batch : {size_t{8}, size_t{64}}) {
-    add_col(ExecutionMode::kDirect, QueuePathMode::kAuto, kRing, false, batch);
-    add_col(ExecutionMode::kGts, QueuePathMode::kAuto, kRing, false, batch);
-    add_col(ExecutionMode::kHmts, QueuePathMode::kAuto, kRing, false, batch);
-  }
-  add_col(ExecutionMode::kGts, QueuePathMode::kForceMpsc, kRing, false, 64);
-  // Tiny ring: every boxed batch lands in the spillover deque, so drains
-  // exercise the seq-merge path with boxed items in flight.
-  add_col(ExecutionMode::kGts, QueuePathMode::kAuto, 2, false, 64);
-  add_col(ExecutionMode::kOts, QueuePathMode::kAuto, kRing, false, 64);
-  add_col(ExecutionMode::kGts, QueuePathMode::kAuto, kRing, true, 64);
 
   // Elastic control axis: the SLO controller escalates/de-escalates
   // rungs 1-2 live throughout the run. kHmts exercises real thread-pool
@@ -407,10 +377,10 @@ std::vector<DiffConfig> ChaosConfigMatrix() {
     config.watchdog = true;
     configs.push_back(config);
   }
-  // Batch delivery under chaos: transient faults make batches dissolve to
-  // the per-tuple fallback at the hooked operators while bounded kShedNewest
-  // queues shed per element — drop counters must still account for every
-  // missing tuple exactly.
+  // Batches under chaos: fault hooks make batches dissolve to the per-row
+  // path at every hooked operator while untouched stretches stay batched,
+  // and bounded kShedNewest queues unbundle at the door and shed per
+  // element — drop counters must still account for every missing tuple.
   {
     DiffConfig config;
     config.mode = ExecutionMode::kHmts;
@@ -421,15 +391,10 @@ std::vector<DiffConfig> ChaosConfigMatrix() {
     config.watchdog = true;
     configs.push_back(config);
   }
-  // Columnar under chaos: fault hooks arm the columnar fallback gate on
-  // every hooked operator, so batches materialize to rows there while
-  // untouched stretches stay columnar; bounded shed queues materialize at
-  // the door. Drop counters must still account for every missing tuple.
   {
     DiffConfig config;
     config.mode = ExecutionMode::kHmts;
     config.emit_batch_size = 64;
-    config.columnar = true;
     config.chaos_transient_rate = 0.02;
     config.chaos_delay_rate = 0.01;
     config.chaos_suppress_every_n = 7;
@@ -440,7 +405,6 @@ std::vector<DiffConfig> ChaosConfigMatrix() {
     DiffConfig config;
     config.mode = ExecutionMode::kGts;
     config.emit_batch_size = 64;
-    config.columnar = true;
     config.queue_max_elements = 8;
     config.overload_policy = OverloadPolicy::kShedNewest;
     config.chaos_transient_rate = 0.02;
@@ -501,25 +465,12 @@ std::vector<DiffConfig> RecoveryConfigMatrix(const std::string& kill_operator,
   // Double kill: the operator dies again right after the first recovery's
   // replay; two rewinds must still converge to golden.
   add(ExecutionMode::kHmts, StrategyKind::kFifo).chaos_kills = 2;
-  // Batch delivery + kill/revive: batches split at every epoch barrier and
-  // dissolve at fault-hooked operators, so rewind + replay must restore
-  // exactly the same committed prefix as the per-tuple path.
+  // Batches + kill/revive: batches split at every epoch barrier, and armed
+  // epoch alignment makes every aligning operator take them row by row,
+  // so rewind + replay must restore exactly the same committed prefix as
+  // the per-tuple path.
   add(ExecutionMode::kHmts, StrategyKind::kFifo).emit_batch_size = 64;
   add(ExecutionMode::kGts, StrategyKind::kFifo).emit_batch_size = 8;
-  // Columnar + kill/revive: armed epoch-alignment state forces the row
-  // fallback at epoch-participating operators (the PR 5 unbundling
-  // contract), so rewind + replay must restore exactly the same committed
-  // prefix as the per-tuple path.
-  {
-    DiffConfig& config = add(ExecutionMode::kHmts, StrategyKind::kFifo);
-    config.emit_batch_size = 64;
-    config.columnar = true;
-  }
-  {
-    DiffConfig& config = add(ExecutionMode::kGts, StrategyKind::kFifo);
-    config.emit_batch_size = 8;
-    config.columnar = true;
-  }
   return configs;
 }
 
@@ -530,9 +481,12 @@ ExecutableDag BuildDagForSpec(const DiffSpec& spec) {
 std::vector<DiffConfig> ShardConfigMatrix() {
   std::vector<DiffConfig> configs;
   // Ordered sharding across every scheduled architecture, both shard
-  // widths, per-tuple and batch delivery. The exact-sequence oracle stays
-  // fully armed: the sequencing Router + kSequence merge must reproduce
-  // the unsharded golden output byte-for-byte.
+  // widths, per-tuple and batch delivery. With batches, the sequencing
+  // Router scatters them into per-replica batches and replica seq stamping
+  // takes them row by row, while the rest of the pipeline stays batched.
+  // The exact-sequence oracle stays fully armed: the sequencing Router +
+  // kSequence merge must reproduce the unsharded golden output
+  // byte-for-byte.
   for (ExecutionMode mode :
        {ExecutionMode::kGts, ExecutionMode::kOts, ExecutionMode::kHmts}) {
     for (int shards : {2, 4}) {
@@ -544,18 +498,6 @@ std::vector<DiffConfig> ShardConfigMatrix() {
         configs.push_back(config);
       }
     }
-  }
-  // Columnar sharding: replica emit-seq stamping forces the row fallback
-  // inside replicas while the rest of the pipeline stays columnar; the
-  // sequencing Router + ordered merge must still reproduce the unsharded
-  // golden byte-for-byte.
-  for (ExecutionMode mode : {ExecutionMode::kGts, ExecutionMode::kHmts}) {
-    DiffConfig config;
-    config.mode = mode;
-    config.shard_count = 2;
-    config.emit_batch_size = 64;
-    config.columnar = true;
-    configs.push_back(config);
   }
   // Arrival-order merge: no buffering, nondeterministic interleaving — all
   // sinks demote to the multiset oracle.
@@ -599,17 +541,10 @@ std::vector<DiffConfig> DurabilityConfigMatrix() {
   add(ExecutionMode::kDirect);
   // Both cross-thread queue paths must restore identically.
   add(ExecutionMode::kGts).queue_path = QueuePathMode::kForceMpsc;
-  // Batch delivery: barriers still split batches, so the durable cursors
-  // land on the same element boundaries as the per-tuple path.
-  add(ExecutionMode::kHmts).emit_batch_size = 64;
-  // Columnar + cold restart: columnar engages between barriers while the
-  // durable cursors land on identical element boundaries; every
+  // Batches: barriers still split them, so the durable cursors land on
+  // the same element boundaries as the per-tuple path and every
   // incarnation must restore to an exact golden match.
-  {
-    DiffConfig& config = add(ExecutionMode::kHmts);
-    config.emit_batch_size = 64;
-    config.columnar = true;
-  }
+  add(ExecutionMode::kHmts).emit_batch_size = 64;
   // Two process deaths: the second incarnation restores, makes fresh
   // progress, persists new epochs, dies again — and the third must
   // restore from epochs written *after* a restore.
@@ -1056,7 +991,6 @@ std::string FormatReplay(const DiffSpec& spec, const DiffConfig& config) {
      << "chaos_kills=" << config.chaos_kills << "\n"
      << "watchdog=" << (config.watchdog ? 1 : 0) << "\n"
      << "emit_batch_size=" << config.emit_batch_size << "\n"
-     << "columnar=" << (config.columnar ? 1 : 0) << "\n"
      << "shard_count=" << config.shard_count << "\n"
      << "shard_unordered=" << (config.shard_unordered ? 1 : 0) << "\n"
      << "kill_shard_replica=" << config.kill_shard_replica << "\n"
@@ -1149,8 +1083,6 @@ bool ParseReplay(const std::string& text, DiffSpec* spec, DiffConfig* config,
         config->watchdog = std::stoi(value) != 0;
       } else if (key == "emit_batch_size") {
         config->emit_batch_size = std::stoull(value);
-      } else if (key == "columnar") {
-        config->columnar = std::stoi(value) != 0;
       } else if (key == "shard_count") {
         config->shard_count = std::stoi(value);
       } else if (key == "shard_unordered") {

@@ -84,20 +84,14 @@ struct DiffConfig {
   /// runs assert it stays clean (stall_events == 0).
   bool watchdog = false;
 
-  /// Batch execution path (EngineOptions::emit_batch_size): sources bundle
-  /// this many elements into one TupleBatch and queues deliver drained
-  /// runs as single ReceiveBatch calls. Any size must leave results
-  /// byte-identical to per-tuple execution — batching changes delivery
-  /// granularity, never semantics.
+  /// Batch execution path (EngineOptions::emit_batch_size, DESIGN.md
+  /// §17): sources scatter this many elements into one typed
+  /// ColumnarBatch, batch kernels run vectorized, unbounded queues box
+  /// whole batches, and per-row fallback boundaries take them row by row.
+  /// Any size must leave results byte-identical to per-tuple execution —
+  /// batching changes delivery granularity and representation, never
+  /// semantics.
   size_t emit_batch_size = 1;
-
-  /// Columnar batch layer (EngineOptions::columnar, DESIGN.md §17):
-  /// sources scatter accumulated elements into typed ColumnarBatches and
-  /// columnar-native operators run vectorized kernels, materializing back
-  /// to rows at the fallback boundary. Meaningful only with
-  /// emit_batch_size > 1. Results must stay byte-identical to the row-wise
-  /// path — columnar changes representation, never semantics.
-  bool columnar = false;
 
   // -- Checkpoint/recovery dimensions (ISSUE 4) ---------------------------
 

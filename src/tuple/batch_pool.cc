@@ -77,9 +77,9 @@ void ReleaseBatch(ColumnarBatchPtr batch) {
   // Else: drop on the floor; the unique_ptr frees the storage.
 }
 
-TupleBatch MaterializeAndRelease(ColumnarBatchPtr batch) {
-  if (batch == nullptr) return TupleBatch();
-  TupleBatch rows = batch->Materialize();
+std::vector<Tuple> MaterializeAndRelease(ColumnarBatchPtr batch) {
+  if (batch == nullptr) return {};
+  std::vector<Tuple> rows = batch->Materialize();
   ReleaseBatch(std::move(batch));
   return rows;
 }

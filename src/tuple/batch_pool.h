@@ -19,6 +19,7 @@
 #define FLEXSTREAM_TUPLE_BATCH_POOL_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "tuple/columnar_batch.h"
 
@@ -32,8 +33,8 @@ ColumnarBatchPtr AcquireBatch(SchemaPtr schema);
 void ReleaseBatch(ColumnarBatchPtr batch);
 
 /// Materializes every row and recycles the columnar storage in one step —
-/// the row-wise fallback's conversion helper.
-TupleBatch MaterializeAndRelease(ColumnarBatchPtr batch);
+/// for consumers that keep the rows (bounded queues, collecting sinks).
+std::vector<Tuple> MaterializeAndRelease(ColumnarBatchPtr batch);
 
 /// Pool telemetry for tests and benches (process-wide counters).
 struct PoolStats {

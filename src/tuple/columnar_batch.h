@@ -1,20 +1,23 @@
-// The columnar batch: one contiguous typed vector per attribute.
+// The columnar batch: one contiguous typed vector per attribute — the
+// engine's only batch unit (DESIGN.md §17).
 //
-// Where a TupleBatch is a vector of row-wise Tuples (each attribute a
-// std::variant, strings individually heap-allocated), a ColumnarBatch
-// stores the same run of data tuples column-major: int64 and double
-// attributes live in contiguous typed vectors, and string attributes are
-// (offset, length) pairs into one per-batch bump-allocated arena — no
-// per-value heap. Kernels loop over raw typed pointers; compaction after a
-// selection moves 8/16-byte entries instead of whole Tuples; transporting
-// a batch across a queue moves a handful of vector headers instead of N
-// variant rows.
+// A ColumnarBatch stores a run of data tuples column-major: int64 and
+// double attributes live in contiguous typed vectors, and string
+// attributes are (offset, length) pairs into one per-batch bump-allocated
+// arena — no per-value heap. Kernels loop over raw typed pointers;
+// compaction after a selection moves 8/16-byte entries instead of whole
+// Tuples; transporting a batch across a queue moves a handful of vector
+// headers instead of N variant rows.
 //
-// A ColumnarBatch obeys the same punctuation-split invariant as TupleBatch
-// (data tuples only — AppendTuple rejects punctuations) and is always
-// convertible back to rows: MaterializeRow / Materialize reproduce the
-// exact Tuples that went in, including timestamps and router seq stamps,
-// so the row-wise fallback path (DESIGN.md §17) is byte-for-byte exact.
+// The punctuation-split invariant: a batch only ever holds *data* tuples
+// (AppendTuple rejects punctuations). EOS and epoch barriers always travel
+// the per-tuple Receive path, and producers flush the batch they are
+// building first, so a batch is always entirely on one side of every
+// barrier and never reaches fan-in close accounting.
+//
+// A batch is always convertible back to rows: MaterializeRow / Materialize
+// reproduce the exact Tuples that went in, including timestamps and router
+// seq stamps, so the per-row fallback path is byte-for-byte exact.
 
 #ifndef FLEXSTREAM_TUPLE_COLUMNAR_BATCH_H_
 #define FLEXSTREAM_TUPLE_COLUMNAR_BATCH_H_
@@ -26,7 +29,6 @@
 
 #include "tuple/schema.h"
 #include "tuple/tuple.h"
-#include "tuple/tuple_batch.h"
 #include "util/clock.h"
 #include "util/logging.h"
 
@@ -76,8 +78,7 @@ class ColumnarBatch {
   /// columns (strings are copied into the arena). Returns false — leaving
   /// the batch untouched — when the tuple does not match the schema; the
   /// caller then flushes this batch and starts a new one, or falls back to
-  /// rows. Punctuations are a caller bug (DCHECK), mirroring
-  /// TupleBatch::PushBack.
+  /// rows. Punctuations are a caller bug (DCHECK).
   bool AppendTuple(const Tuple& tuple) {
     DCHECK(tuple.is_data());
     if (schema_ == nullptr || !schema_->Matches(tuple)) return false;
@@ -95,11 +96,30 @@ class ColumnarBatch {
           break;
       }
     }
-    ts_.push_back(tuple.timestamp());
-    if (tuple.seq() != 0 && seqs_.empty()) seqs_.resize(rows_, 0);
-    if (!seqs_.empty() || tuple.seq() != 0) seqs_.push_back(tuple.seq());
-    ++rows_;
+    AppendRowMeta(tuple.timestamp(), tuple.seq());
     return true;
+  }
+
+  /// Appends row `row` of `from` (same schema) with seq stamp `seq` — the
+  /// Router's scatter. String cells are copied into this batch's arena.
+  void AppendRow(const ColumnarBatch& from, size_t row, uint64_t seq) {
+    DCHECK(*from.schema_ == *schema_);
+    DCHECK(row < from.rows_);
+    for (size_t i = 0; i < cols_.size(); ++i) {
+      const Column& src = from.cols_[i];
+      switch (schema_->type(i)) {
+        case Value::Type::kInt64:
+          cols_[i].i64.push_back(src.i64[row]);
+          break;
+        case Value::Type::kDouble:
+          cols_[i].f64.push_back(src.f64[row]);
+          break;
+        case Value::Type::kString:
+          AppendToArena(cols_[i], from.StringAt(i, row));
+          break;
+      }
+    }
+    AppendRowMeta(from.ts_[row], seq);
   }
 
   /// Grows every column (and the timestamp vector) to `n` rows, appending
@@ -173,6 +193,13 @@ class ColumnarBatch {
   /// constructs fresh Tuples with seq 0.
   void ClearSeqs() { seqs_.clear(); }
 
+  /// Stamps rows with the consecutive seqs first, first + 1, ... (the
+  /// sequencing Router's bulk stamp).
+  void StampSeqs(uint64_t first) {
+    seqs_.resize(rows_);
+    for (size_t i = 0; i < rows_; ++i) seqs_[i] = first + i;
+  }
+
   // ---------------------------------------------------------------------
   // Row materialization (the fallback contract)
 
@@ -200,13 +227,13 @@ class ColumnarBatch {
   }
 
   /// Appends every row to `out` in order.
-  void MaterializeInto(TupleBatch* out) const {
+  void MaterializeInto(std::vector<Tuple>* out) const {
     out->reserve(out->size() + rows_);
-    for (size_t i = 0; i < rows_; ++i) out->PushBack(MaterializeRow(i));
+    for (size_t i = 0; i < rows_; ++i) out->push_back(MaterializeRow(i));
   }
 
-  TupleBatch Materialize() const {
-    TupleBatch out;
+  std::vector<Tuple> Materialize() const {
+    std::vector<Tuple> out;
     MaterializeInto(&out);
     return out;
   }
@@ -303,7 +330,14 @@ class ColumnarBatch {
     }
   }
 
-  void AppendToArena(Column& c, const std::string& s) {
+  void AppendRowMeta(AppTime timestamp, uint64_t seq) {
+    ts_.push_back(timestamp);
+    if (seq != 0 && seqs_.empty()) seqs_.resize(rows_, 0);
+    if (!seqs_.empty() || seq != 0) seqs_.push_back(seq);
+    ++rows_;
+  }
+
+  void AppendToArena(Column& c, std::string_view s) {
     DCHECK(arena_.size() + s.size() <= UINT32_MAX);
     c.str_off.push_back(static_cast<uint32_t>(arena_.size()));
     c.str_len.push_back(static_cast<uint32_t>(s.size()));

@@ -38,6 +38,7 @@ void RateSource::Run() {
     const double mean_gap_micros =
         phase.rate_per_sec > 0.0 ? 1e6 / phase.rate_per_sec : 0.0;
     for (int64_t i = 0; i < phase.count; ++i, ++index) {
+      TimePoint due;
       if (mean_gap_micros > 0.0) {
         const double gap = options_.pacing == Pacing::kPoisson
                                ? rng_.Exponential(mean_gap_micros)
@@ -48,8 +49,8 @@ void RateSource::Run() {
         // *is* the backpressure signal the experiments observe.
         const double wall_offset_micros =
             static_cast<double>(app_time) / options_.time_scale;
-        SleepUntil(wall_start +
-                   FromMicros(static_cast<int64_t>(wall_offset_micros)));
+        due = wall_start + FromMicros(static_cast<int64_t>(wall_offset_micros));
+        SleepUntil(due);
       } else {
         // Unpaced phase: logical time still advances by a nominal 1 us so
         // timestamps stay strictly monotone.
@@ -57,7 +58,8 @@ void RateSource::Run() {
       }
       Tuple tuple = generator_(index, app_time, &rng_);
       if (options_.stamp_emit_offset) {
-        tuple.Append(Value(ToMicros(Now() - options_.stamp_epoch)));
+        const TimePoint emitted = mean_gap_micros > 0.0 ? due : Now();
+        tuple.Append(Value(ToMicros(emitted - options_.stamp_epoch)));
       }
       source_->Push(tuple);
       ++emitted_;

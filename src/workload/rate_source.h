@@ -45,9 +45,13 @@ class RateSource {
     double bucket_seconds = 1.0;
     /// RNG seed (Poisson pacing and generator randomness).
     uint64_t seed = 42;
-    /// Appends the element's actual emission time — microseconds since
+    /// Appends the element's emission time — microseconds since
     /// `stamp_epoch` — as an extra trailing integer attribute, for
-    /// LatencySink (operators/latency_sink.h).
+    /// LatencySink (operators/latency_sink.h). In paced phases this is the
+    /// element's *due* time on the schedule, not the moment the generator
+    /// got to it: a generator running late must not hide its lag from the
+    /// measured latency (coordinated omission). Unpaced phases have no
+    /// schedule and stamp the actual emission time.
     bool stamp_emit_offset = false;
     TimePoint stamp_epoch{};
   };

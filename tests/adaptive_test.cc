@@ -1,79 +1,17 @@
-// Runtime adaptation: the backlog-driven priority controller and
-// measured-statistics queue re-placement (the paper's Section 4.2.2
-// priority adaptation and Section 5.1.3 runtime placement mechanism).
+// Runtime adaptation: measured-statistics queue re-placement (the paper's
+// Section 5.1.3 runtime placement mechanism).
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <thread>
 
 #include "api/query_builder.h"
 #include "api/stream_engine.h"
 #include "core/adaptive_placement.h"
-#include "core/backlog_controller.h"
 #include "util/busy_work.h"
 
 namespace flexstream {
 namespace {
-
-TEST(BacklogControllerTest, RaisesPriorityOfBackloggedPartition) {
-  QueryGraph graph;
-  QueryBuilder qb(&graph);
-  Source* srcs[2];
-  QueueOp* queues[2];
-  for (int i = 0; i < 2; ++i) {
-    srcs[i] = qb.AddSource("src" + std::to_string(i));
-    queues[i] = graph.Add<QueueOp>("q" + std::to_string(i));
-    ASSERT_TRUE(graph.Connect(srcs[i], queues[i]).ok());
-    qb.CountSink(queues[i], "sink" + std::to_string(i));
-  }
-  std::vector<HmtsExecutor::PartitionSpec> specs(2);
-  specs[0].name = "p0";
-  specs[0].queues = {queues[0]};
-  specs[1].name = "p1";
-  specs[1].queues = {queues[1]};
-  HmtsExecutor executor(std::move(specs));
-  // Deliberately do NOT start the executor: the backlog stays put so the
-  // controller's decision is deterministic.
-  for (int i = 0; i < 1000; ++i) srcs[0]->Push(Tuple::OfInt(i, i));
-
-  BacklogController::Options options;
-  options.interval = std::chrono::milliseconds(5);
-  options.gain = 1.0;
-  BacklogController controller(&executor, options);
-  controller.Start();
-  while (controller.rounds() < 3) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  controller.Stop();
-  const double p0 =
-      executor.thread_scheduler().PriorityOf(&executor.partition(0));
-  const double p1 =
-      executor.thread_scheduler().PriorityOf(&executor.partition(1));
-  EXPECT_GT(p0, p1) << "backlogged partition must be prioritized";
-  EXPECT_NEAR(p0, std::log2(1.0 + 1000.0), 0.01);
-  EXPECT_NEAR(p1, 0.0, 0.01);
-}
-
-TEST(BacklogControllerTest, StartStopIdempotentAndRestartable) {
-  QueryGraph graph;
-  QueryBuilder qb(&graph);
-  Source* src = qb.AddSource("src");
-  QueueOp* q = graph.Add<QueueOp>("q");
-  ASSERT_TRUE(graph.Connect(src, q).ok());
-  qb.CountSink(q, "sink");
-  std::vector<HmtsExecutor::PartitionSpec> specs(1);
-  specs[0].name = "p0";
-  specs[0].queues = {q};
-  HmtsExecutor executor(std::move(specs));
-  BacklogController controller(&executor, {});
-  controller.Stop();  // no-op before start
-  controller.Start();
-  controller.Stop();
-  controller.Start();
-  controller.Stop();
-  SUCCEED();
-}
 
 TEST(SnapshotMeasuredStatsTest, CopiesMeasurementsIntoOverrides) {
   QueryGraph graph;

@@ -1,9 +1,8 @@
-// Batch execution path (DESIGN.md §11): TupleBatch semantics, source-side
-// accumulation, batch-native operator overrides, the per-tuple fallback,
-// move behaviour of owned payloads, queue batch delivery ordering across
-// all three internal paths, and epoch alignment with batching enabled.
-
-#include "tuple/tuple_batch.h"
+// Batch execution path (DESIGN.md §17): source-side accumulation into
+// columnar batches, batch kernels, the per-row fallback, string arena
+// reuse through the chain, queue transport and FIFO order across all
+// three internal paths, bounded-queue unbundling, and epoch alignment with
+// batching enabled.
 
 #include <gtest/gtest.h>
 
@@ -22,51 +21,18 @@
 #include "operators/source.h"
 #include "operators/union_op.h"
 #include "queue/queue_op.h"
+#include "tuple/batch_pool.h"
+#include "tuple/columnar_batch.h"
 
 namespace flexstream {
 namespace {
 
 constexpr auto kWait = std::chrono::seconds(60);
 
-// -- TupleBatch container semantics -----------------------------------------
-
-TEST(TupleBatchTest, PushBackAndIterateInOrder) {
-  TupleBatch batch;
-  for (int i = 0; i < 5; ++i) batch.PushBack(Tuple::OfInt(i, i));
-  ASSERT_EQ(batch.size(), 5u);
-  EXPECT_FALSE(batch.empty());
-  int expected = 0;
-  for (const Tuple& tuple : batch) EXPECT_EQ(tuple.IntAt(0), expected++);
-  batch.clear();
-  EXPECT_TRUE(batch.empty());
-}
-
-TEST(TupleBatchTest, CompactFiltersInPlacePreservingOrder) {
-  TupleBatch batch;
-  for (int i = 0; i < 10; ++i) batch.PushBack(Tuple::OfInt(i, i));
-  batch.Compact([](const Tuple& t) { return t.IntAt(0) % 2 == 0; });
-  ASSERT_EQ(batch.size(), 5u);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(batch[i].IntAt(0), static_cast<int64_t>(2 * i));
-  }
-  batch.Compact([](const Tuple&) { return false; });
-  EXPECT_TRUE(batch.empty());
-}
-
-TEST(TupleBatchTest, TakeTuplesHandsBackTheVector) {
-  TupleBatch batch;
-  batch.PushBack(Tuple::OfInt(7, 1));
-  batch.PushBack(Tuple::OfInt(8, 2));
-  std::vector<Tuple> taken = batch.TakeTuples();
-  ASSERT_EQ(taken.size(), 2u);
-  EXPECT_EQ(taken[0].IntAt(0), 7);
-  EXPECT_EQ(taken[1].IntAt(0), 8);
-}
-
 // -- Source-side accumulation -----------------------------------------------
 
 /// Pass-through operator recording how deliveries arrive: one entry per
-/// ReceiveBatch (the batch size) and a count of per-tuple deliveries.
+/// batch (its size) and a count of per-tuple deliveries.
 class RecordingOp : public Operator {
  public:
   explicit RecordingOp(std::string name)
@@ -80,9 +46,9 @@ class RecordingOp : public Operator {
     ++singles;
     Emit(tuple);
   }
-  void ProcessBatch(TupleBatch&& batch, int) override {
-    batch_sizes.push_back(batch.size());
-    EmitBatch(std::move(batch));
+  void ProcessColumnar(ColumnarBatchPtr batch, int) override {
+    batch_sizes.push_back(batch->size());
+    EmitColumnar(std::move(batch));
   }
 };
 
@@ -93,7 +59,7 @@ TEST(BatchPathTest, SourceAccumulatesAndFlushesRemainderOnClose) {
   CollectingSink* sink = g.Add<CollectingSink>("out");
   ASSERT_TRUE(g.Connect(src, rec).ok());
   ASSERT_TRUE(g.Connect(rec, sink).ok());
-  src->SetEmitBatchSize(4);
+  src->SetBatchSize(4);
   for (int i = 0; i < 10; ++i) src->Push(Tuple::OfInt(i, i));
   EXPECT_EQ(sink->size(), 8u) << "two full batches emitted, 2 pending";
   src->Close(10);
@@ -120,7 +86,7 @@ TEST(BatchPathTest, BatchSizeOneKeepsPerTuplePath) {
   EXPECT_EQ(sink->size(), 5u);
 }
 
-// -- Batch-native operators match per-tuple execution -----------------------
+// -- Batch kernels match per-tuple execution ---------------------------------
 
 /// src -> sel(odd) -> proj(keep 0) -> map(x+1) -> sink with the given
 /// delivery granularity; returns the sink's output sequence.
@@ -138,7 +104,7 @@ std::vector<Tuple> RunChain(size_t emit_batch_size, int feed) {
   EXPECT_TRUE(g.Connect(sel, proj).ok());
   EXPECT_TRUE(g.Connect(proj, map).ok());
   EXPECT_TRUE(g.Connect(map, sink).ok());
-  src->SetEmitBatchSize(emit_batch_size);
+  src->SetBatchSize(emit_batch_size);
   for (int i = 0; i < feed; ++i) {
     src->Push(Tuple({Value(int64_t{i}), Value(double(i) / 2)}, i));
   }
@@ -157,7 +123,7 @@ TEST(BatchPathTest, SelectionProjectionMapChainMatchesPerTuple) {
 }
 
 TEST(BatchPathTest, ProjectionDuplicateAttrsAreCopiedNotDoubleMoved) {
-  // A repeated attribute index must not read a moved-from Value on the
+  // A repeated attribute index must not read a moved-from column on the
   // batch path.
   QueryGraph g;
   Source* src = g.Add<Source>("s");
@@ -165,7 +131,7 @@ TEST(BatchPathTest, ProjectionDuplicateAttrsAreCopiedNotDoubleMoved) {
   CollectingSink* sink = g.Add<CollectingSink>("out");
   ASSERT_TRUE(g.Connect(src, proj).ok());
   ASSERT_TRUE(g.Connect(proj, sink).ok());
-  src->SetEmitBatchSize(8);
+  src->SetBatchSize(8);
   const std::string payload(80, 'x');
   for (int i = 0; i < 8; ++i) {
     src->Push(Tuple({Value(payload + std::to_string(i))}, i));
@@ -191,8 +157,8 @@ TEST(BatchPathTest, UnionForwardsBatchesFromBothInputs) {
   ASSERT_TRUE(g.Connect(b, u).ok());
   ASSERT_TRUE(g.Connect(u, rec).ok());
   ASSERT_TRUE(g.Connect(rec, sink).ok());
-  a->SetEmitBatchSize(3);
-  b->SetEmitBatchSize(3);
+  a->SetBatchSize(3);
+  b->SetBatchSize(3);
   for (int i = 0; i < 3; ++i) a->Push(Tuple::OfInt(i, i));
   for (int i = 10; i < 13; ++i) b->Push(Tuple::OfInt(i, i));
   a->Close(3);
@@ -208,7 +174,7 @@ TEST(BatchPathTest, CountingSinkAbsorbsWholeBatches) {
   Source* src = g.Add<Source>("s");
   CountingSink* sink = g.Add<CountingSink>("count");
   ASSERT_TRUE(g.Connect(src, sink).ok());
-  src->SetEmitBatchSize(16);
+  src->SetBatchSize(16);
   for (int i = 0; i < 100; ++i) src->Push(Tuple::OfInt(i, i));
   src->Close(100);
   EXPECT_EQ(sink->count(), 100);
@@ -216,7 +182,7 @@ TEST(BatchPathTest, CountingSinkAbsorbsWholeBatches) {
 
 TEST(BatchPathTest, NonBatchOperatorDissolvesBatchToPerTuple) {
   // RecordingOp's base sibling: an operator relying on the default
-  // ProcessBatch, which must fall back to N Process calls in order.
+  // ProcessColumnar, which must fall back to N Process calls in order.
   class PerTupleOnlyOp : public Operator {
    public:
     explicit PerTupleOnlyOp(std::string name)
@@ -238,7 +204,7 @@ TEST(BatchPathTest, NonBatchOperatorDissolvesBatchToPerTuple) {
   ASSERT_TRUE(g.Connect(src, op).ok());
   ASSERT_TRUE(g.Connect(op, rec).ok());
   ASSERT_TRUE(g.Connect(rec, sink).ok());
-  src->SetEmitBatchSize(8);
+  src->SetBatchSize(8);
   for (int i = 0; i < 20; ++i) src->Push(Tuple::OfInt(i, i));
   src->Close(20);
   EXPECT_EQ(op->processed, 20);
@@ -250,39 +216,63 @@ TEST(BatchPathTest, NonBatchOperatorDissolvesBatchToPerTuple) {
   for (int i = 0; i < 20; ++i) EXPECT_EQ(results[i].IntAt(0), i);
 }
 
-// -- Move behaviour (satellite: EmitMove audit) ------------------------------
+// -- String arena reuse -------------------------------------------------------
+
+/// Pass-through recording where each row's column-0 string bytes live.
+class ArenaProbe : public Operator {
+ public:
+  explicit ArenaProbe(std::string name)
+      : Operator(Kind::kOperator, std::move(name), 1) {}
+  std::vector<const char*> addresses;
+
+ protected:
+  void Process(const Tuple& tuple, int) override { Emit(tuple); }
+  void ProcessColumnar(ColumnarBatchPtr batch, int) override {
+    for (size_t i = 0; i < batch->size(); ++i) {
+      addresses.push_back(batch->StringAt(0, i).data());
+    }
+    EmitColumnar(std::move(batch));
+  }
+};
 
 TEST(BatchPathTest, StringPayloadsMoveThroughTheChainWithoutCopying) {
-  // A heap-allocated string's buffer address survives every move; a copy
-  // anywhere in source accumulation, selection compaction, projection
-  // rebuild, or sink absorption would change it.
+  // The source copies each string into its batch's arena once. From there
+  // the bytes must stay put: selection compaction, projection, and a
+  // queue hop move (offset, length) cells and the boxed batch, never the
+  // string bytes themselves.
   QueryGraph g;
   Source* src = g.Add<Source>("s");
+  ArenaProbe* first = g.Add<ArenaProbe>("first");
   Selection* sel =
       g.Add<Selection>("keep", [](const Tuple&) { return true; });
   Projection* proj = g.Add<Projection>("p", std::vector<size_t>{0});
+  QueueOp* q = g.Add<QueueOp>("q");
+  ArenaProbe* last = g.Add<ArenaProbe>("last");
   CollectingSink* sink = g.Add<CollectingSink>("out");
-  ASSERT_TRUE(g.Connect(src, sel).ok());
+  ASSERT_TRUE(g.Connect(src, first).ok());
+  ASSERT_TRUE(g.Connect(first, sel).ok());
   ASSERT_TRUE(g.Connect(sel, proj).ok());
-  ASSERT_TRUE(g.Connect(proj, sink).ok());
-  src->SetEmitBatchSize(4);
-
-  std::vector<const char*> buffers;
+  ASSERT_TRUE(g.Connect(proj, q).ok());
+  ASSERT_TRUE(g.Connect(q, last).ok());
+  ASSERT_TRUE(g.Connect(last, sink).ok());
+  src->SetBatchSize(4);
   for (int i = 0; i < 8; ++i) {
     // Well past any SSO threshold, so the payload lives on the heap.
-    std::vector<Value> values;
-    values.emplace_back(std::string(96, static_cast<char>('a' + i)));
-    Tuple tuple(std::move(values), i);
-    buffers.push_back(tuple.StringAt(0).data());
-    src->Push(std::move(tuple));
+    src->Push(Tuple({Value(std::string(96, static_cast<char>('a' + i))),
+                     Value(int64_t{i})},
+                    i));
   }
   src->Close(8);
+  while (!q->Exhausted()) q->DrainBatch(100);
+  ASSERT_EQ(first->addresses.size(), 8u);
+  EXPECT_EQ(last->addresses, first->addresses)
+      << "string bytes were copied somewhere between source and sink";
   const std::vector<Tuple> results = sink->TakeResults();
   ASSERT_EQ(results.size(), 8u);
-  for (size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(static_cast<const void*>(results[i].StringAt(0).data()),
-              static_cast<const void*>(buffers[i]))
-        << "payload " << i << " was copied somewhere in the chain";
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_EQ(results[i].arity(), 1u);
+    EXPECT_EQ(results[i].StringAt(0),
+              std::string(96, static_cast<char>('a' + i)));
   }
 }
 
@@ -290,9 +280,9 @@ TEST(BatchPathTest, StringPayloadsMoveThroughTheChainWithoutCopying) {
 
 /// Feeds `feed` elements from a producer thread through a queue drained by
 /// this thread, asserting exact FIFO order at the sink. Covers the three
-/// internal queue paths x both delivery granularities.
+/// internal queue paths x both delivery units (tuples, boxed batches).
 void RunQueueOrdering(bool single_producer, size_t ring_capacity,
-                      bool batch_delivery) {
+                      bool batched) {
   QueryGraph g;
   Source* src = g.Add<Source>("s");
   QueueOp* q = g.Add<QueueOp>("q", ring_capacity);
@@ -300,7 +290,7 @@ void RunQueueOrdering(bool single_producer, size_t ring_capacity,
   ASSERT_TRUE(g.Connect(src, q).ok());
   ASSERT_TRUE(g.Connect(q, sink).ok());
   q->SetSingleProducer(single_producer);
-  q->SetBatchDelivery(batch_delivery);
+  src->SetBatchSize(batched ? 16 : 1);
 
   constexpr int kFeed = 2000;
   std::thread producer([&] {
@@ -348,20 +338,47 @@ TEST(QueueBatchDeliveryTest, DrainDeliversRunsAsSingleBatches) {
   ASSERT_TRUE(g.Connect(src, q).ok());
   ASSERT_TRUE(g.Connect(q, rec).ok());
   ASSERT_TRUE(g.Connect(rec, sink).ok());
-  q->SetBatchDelivery(true);
+  src->SetBatchSize(3);
 
   for (int i = 0; i < 3; ++i) src->Push(Tuple::OfInt(i, i));
+  EXPECT_EQ(q->Size(), 3u) << "one boxed item accounts for all its rows";
   q->DrainBatch(100);
   for (int i = 3; i < 8; ++i) src->Push(Tuple::OfInt(i, i));
-  src->Close(8);
+  src->Close(8);  // flushes the partial batch {6, 7} before EOS
   q->DrainBatch(100);
 
   EXPECT_TRUE(sink->closed()) << "EOS still travels per-tuple after a batch";
-  EXPECT_EQ(rec->batch_sizes, (std::vector<size_t>{3, 5}));
+  EXPECT_EQ(rec->batch_sizes, (std::vector<size_t>{3, 3, 2}));
   EXPECT_EQ(rec->singles, 0);
   const std::vector<Tuple> results = sink->TakeResults();
   ASSERT_EQ(results.size(), 8u);
   for (int i = 0; i < 8; ++i) EXPECT_EQ(results[i].IntAt(0), i);
+}
+
+TEST(QueueBatchDeliveryTest, BoundedQueueUnbundlesAtTheDoor) {
+  // A bounded queue materializes each batch on arrival, so every
+  // admit/shed decision sees single elements: kShedNewest keeps exactly
+  // `bound` rows of a 2 x 4 batch feed and counts each dropped row.
+  QueryGraph g;
+  Source* src = g.Add<Source>("s");
+  QueueOp* q = g.Add<QueueOp>("q");
+  RecordingOp* rec = g.Add<RecordingOp>("rec");
+  CollectingSink* sink = g.Add<CollectingSink>("out");
+  ASSERT_TRUE(g.Connect(src, q).ok());
+  ASSERT_TRUE(g.Connect(q, rec).ok());
+  ASSERT_TRUE(g.Connect(rec, sink).ok());
+  q->SetBound(5, OverloadPolicy::kShedNewest);
+  src->SetBatchSize(4);
+  for (int i = 0; i < 8; ++i) src->Push(Tuple::OfInt(i, i));
+  src->Close(8);
+  while (!q->Exhausted()) q->DrainBatch(100);
+
+  EXPECT_EQ(q->dropped_newest(), 3);
+  EXPECT_TRUE(rec->batch_sizes.empty()) << "bounded queues drain tuples";
+  EXPECT_EQ(rec->singles, 5);
+  const std::vector<Tuple> results = sink->TakeResults();
+  ASSERT_EQ(results.size(), 5u);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(results[i].IntAt(0), i);
 }
 
 // -- Engine integration ------------------------------------------------------

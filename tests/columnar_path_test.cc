@@ -34,26 +34,19 @@ namespace {
 constexpr auto kWait = std::chrono::seconds(60);
 
 /// Pass-through recording delivery granularity: one entry per columnar
-/// batch (its size), plus row-wise batch and per-tuple delivery counts.
+/// batch (its size), plus the per-tuple delivery count.
 class ColumnarRecordingOp : public Operator {
  public:
   explicit ColumnarRecordingOp(std::string name)
-      : Operator(Kind::kOperator, std::move(name), 1) {
-    MarkColumnarNative();
-  }
+      : Operator(Kind::kOperator, std::move(name), 1) {}
 
   std::vector<size_t> columnar_sizes;
-  std::vector<size_t> row_batch_sizes;
   int64_t singles = 0;
 
  protected:
   void Process(const Tuple& tuple, int) override {
     ++singles;
     Emit(tuple);
-  }
-  void ProcessBatch(TupleBatch&& batch, int) override {
-    row_batch_sizes.push_back(batch.size());
-    EmitBatch(std::move(batch));
   }
   void ProcessColumnar(ColumnarBatchPtr batch, int) override {
     columnar_sizes.push_back(batch->size());
@@ -71,8 +64,7 @@ TEST(ColumnarSourceTest, AccumulatesTypedBatchesAndFlushesOnClose) {
   ASSERT_TRUE(g.Connect(src, rec).ok());
   ASSERT_TRUE(g.Connect(rec, sink).ok());
   src->DeclareOutputSchema(MakeSchema({Value::Type::kInt64}));
-  src->SetEmitBatchSize(4);
-  src->SetColumnarEmit(true);
+  src->SetBatchSize(4);
 
   for (int i = 0; i < 10; ++i) src->Push(Tuple::OfInt(i, i));
   EXPECT_EQ(rec->columnar_sizes, (std::vector<size_t>{4, 4}));
@@ -98,8 +90,7 @@ TEST(ColumnarSourceTest, SchemaDriftFlushesAndRestartsUnderNewSchema) {
   CollectingSink* sink = g.Add<CollectingSink>("out");
   ASSERT_TRUE(g.Connect(src, rec).ok());
   ASSERT_TRUE(g.Connect(rec, sink).ok());
-  src->SetEmitBatchSize(8);
-  src->SetColumnarEmit(true);
+  src->SetBatchSize(8);
 
   src->Push(Tuple::OfInt(0, 0));
   src->Push(Tuple::OfInt(1, 1));
@@ -116,34 +107,37 @@ TEST(ColumnarSourceTest, SchemaDriftFlushesAndRestartsUnderNewSchema) {
 }
 
 TEST(ColumnarSourceTest, NonNativeOperatorMaterializesAtTheDoor) {
-  // An operator without a columnar kernel must receive the rows the batch
-  // holds — the transparent fallback of the §17 contract.
+  // An operator without a batch kernel must receive the rows the batch
+  // holds, in order — the per-row fallback of the §17 contract — and
+  // emits them downstream one by one.
   class RowOnlyOp : public Operator {
    public:
     explicit RowOnlyOp(std::string name)
         : Operator(Kind::kOperator, std::move(name), 1) {}
-    std::vector<size_t> row_batch_sizes;
+    std::vector<int64_t> seen;
 
    protected:
-    void Process(const Tuple& tuple, int) override { Emit(tuple); }
-    void ProcessBatch(TupleBatch&& batch, int) override {
-      row_batch_sizes.push_back(batch.size());
-      EmitBatch(std::move(batch));
+    void Process(const Tuple& tuple, int) override {
+      seen.push_back(tuple.IntAt(0));
+      Emit(tuple);
     }
   };
 
   QueryGraph g;
   Source* src = g.Add<Source>("s");
   RowOnlyOp* op = g.Add<RowOnlyOp>("legacy");
+  ColumnarRecordingOp* rec = g.Add<ColumnarRecordingOp>("rec");
   CollectingSink* sink = g.Add<CollectingSink>("out");
   ASSERT_TRUE(g.Connect(src, op).ok());
-  ASSERT_TRUE(g.Connect(op, sink).ok());
-  src->SetEmitBatchSize(4);
-  src->SetColumnarEmit(true);
+  ASSERT_TRUE(g.Connect(op, rec).ok());
+  ASSERT_TRUE(g.Connect(rec, sink).ok());
+  src->SetBatchSize(4);
   for (int i = 0; i < 8; ++i) src->Push(Tuple::OfInt(i, i));
   src->Close(8);
-  EXPECT_EQ(op->row_batch_sizes, (std::vector<size_t>{4, 4}))
-      << "columnar batches materialize to row batches at a non-native gate";
+  EXPECT_EQ(op->seen, (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_TRUE(rec->columnar_sizes.empty())
+      << "batches dissolve at an operator without a kernel";
+  EXPECT_EQ(rec->singles, 8);
   const std::vector<Tuple> results = sink->TakeResults();
   ASSERT_EQ(results.size(), 8u);
   for (int i = 0; i < 8; ++i) EXPECT_EQ(results[i].IntAt(0), i);
@@ -203,7 +197,6 @@ TEST(ColumnarEngineTest, TypedChainMatchesRowPathAcrossModes) {
     EngineOptions options;
     options.mode = mode;
     options.emit_batch_size = 64;
-    options.columnar = true;
     EXPECT_EQ(RunTypedChain(options, kFeed), golden)
         << "columnar " << ExecutionModeToString(mode) << " diverged";
   }
@@ -229,7 +222,6 @@ TEST(ColumnarEngineTest, JoinKernelMatchesRowPath) {
     EngineOptions options;
     options.mode = ExecutionMode::kGts;
     options.emit_batch_size = columnar ? 16 : 1;
-    options.columnar = columnar;
     EXPECT_TRUE(engine.Configure(options).ok());
     EXPECT_TRUE(engine.Start().ok());
     for (int i = 0; i < 300; ++i) {
@@ -276,7 +268,6 @@ TEST(ColumnarEngineTest, GroupedAggregateKernelMatchesRowPath) {
     EngineOptions options;
     options.mode = ExecutionMode::kGts;
     options.emit_batch_size = columnar ? 16 : 1;
-    options.columnar = columnar;
     EXPECT_TRUE(engine.Configure(options).ok());
     EXPECT_TRUE(engine.Start().ok());
     for (int i = 0; i < 400; ++i) {
@@ -305,11 +296,9 @@ void RunColumnarQueueOrdering(size_t ring_capacity) {
   ASSERT_TRUE(g.Connect(src, q).ok());
   ASSERT_TRUE(g.Connect(q, sink).ok());
   q->SetSingleProducer(true);
-  q->SetBatchDelivery(true);
   src->DeclareOutputSchema(
       MakeSchema({Value::Type::kInt64, Value::Type::kString}));
-  src->SetEmitBatchSize(8);
-  src->SetColumnarEmit(true);
+  src->SetBatchSize(8);
 
   constexpr int kFeed = 500;
   std::thread producer([&] {
@@ -354,7 +343,6 @@ TEST(ColumnarEngineTest, ConfigurePropagatesSchemasAcrossPlacedQueues) {
   EngineOptions options;
   options.mode = ExecutionMode::kGts;  // places queues before the walk
   options.emit_batch_size = 64;
-  options.columnar = true;
   ASSERT_TRUE(engine.Configure(options).ok());
   for (Node* node : p.graph.nodes()) {
     if (node->name() == "sel" || node->name() == "map") {
@@ -382,7 +370,6 @@ TEST(ColumnarEngineTest, PoolRecyclesBatchesInSteadyState) {
   EngineOptions options;
   options.mode = ExecutionMode::kDirect;
   options.emit_batch_size = 64;
-  options.columnar = true;
   ASSERT_TRUE(engine.Configure(options).ok());
   ASSERT_TRUE(engine.Start().ok());
   int64_t fed = 0;
@@ -427,7 +414,6 @@ TEST(ColumnarEngineTest, CheckpointedRunStaysExactWithColumnarEnabled) {
   options.mode = ExecutionMode::kGts;
   options.checkpoint_epoch_interval = 25;
   options.emit_batch_size = 64;
-  options.columnar = true;
   ASSERT_TRUE(engine.Configure(options).ok());
   ASSERT_TRUE(engine.Start().ok());
   for (int i = 0; i < kFeed; ++i) {
@@ -466,7 +452,6 @@ TEST(ColumnarEngineTest, SnapshotRestoreUnderColumnarFeedStaysExact) {
     options.mode = ExecutionMode::kGts;
     options.checkpoint_epoch_interval = 20;
     options.emit_batch_size = columnar ? 16 : 1;
-    options.columnar = columnar;
     EXPECT_TRUE(engine.Configure(options).ok());
     EXPECT_TRUE(engine.Start().ok());
     for (int i = 0; i < 300; ++i) src->Push(Tuple::OfInt(i, i));

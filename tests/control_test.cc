@@ -544,14 +544,14 @@ TEST(EngineActuationTest, ChangesEmitBatchSizeMidRunWithoutResultChange) {
     expected.push_back(t);
     fx.src->Push(t);
   }
-  ASSERT_TRUE(engine.SetEmitBatchSizeLive(16).ok());
+  ASSERT_TRUE(engine.SetBatchSizeLive(16).ok());
   EXPECT_EQ(engine.options().emit_batch_size, 16u);
   for (int i = 100; i < 300; ++i) {
     Tuple t({Value(int64_t{i})}, i);
     expected.push_back(t);
     fx.src->Push(t);
   }
-  ASSERT_TRUE(engine.SetEmitBatchSizeLive(1).ok());
+  ASSERT_TRUE(engine.SetBatchSizeLive(1).ok());
   for (int i = 300; i < 400; ++i) {
     Tuple t({Value(int64_t{i})}, i);
     expected.push_back(t);

@@ -1,12 +1,12 @@
-// Columnar tier: the differential harness with the typed columnar layer
-// enabled (EngineOptions::columnar, DESIGN.md §17). Sources scatter the
+// Columnar tier: the differential harness with batching enabled
+// (EngineOptions::emit_batch_size > 1, DESIGN.md §17). Sources scatter the
 // seeded stream into typed ColumnarBatches, the generated DAG's typed
 // Selection/Map kernels run vectorized, queues box whole batches, and
-// every fallback boundary (non-native operators, chaos fault hooks, armed
-// epoch alignment, shard replica stamping) materializes back to rows. The
-// sweep proves the representation change is output-invisible: every
-// columnar configuration — including chaos, kill/revive recovery, and
-// sharded ones — must match the row-wise golden byte-for-byte.
+// every per-row boundary (operators without a kernel, chaos fault hooks,
+// armed epoch alignment, shard replica stamping) takes them row by row.
+// The sweep proves batching is output-invisible: every batched
+// configuration — including chaos, kill/revive recovery, and sharded
+// ones — must match the per-tuple golden byte-for-byte.
 //
 // Runs under the `check-columnar` CMake target (ctest -R "Columnar").
 
@@ -28,12 +28,12 @@ DiffSpec ColumnarSpec() {
   return spec;
 }
 
-/// The columnar configurations of a matrix (the row-wise ones are covered
-/// by their own tiers).
+/// The batched (columnar) configurations of a matrix (the per-tuple ones
+/// are covered by their own tiers).
 std::vector<DiffConfig> ColumnarOnly(std::vector<DiffConfig> configs) {
   std::vector<DiffConfig> out;
   for (DiffConfig& config : configs) {
-    if (config.columnar) out.push_back(std::move(config));
+    if (config.emit_batch_size > 1) out.push_back(std::move(config));
   }
   return out;
 }
@@ -127,14 +127,13 @@ TEST(ColumnarRecoverySweepTest, KillReviveMatchesGoldenExactly) {
   }
 }
 
-// Replay files round-trip the columnar flag so a failing columnar scenario
-// can be re-run exactly.
+// Replay files round-trip the batch size — the field that makes a run
+// columnar — so a failing columnar scenario can be re-run exactly.
 TEST(ColumnarReplayTest, RoundTripsColumnarField) {
   const DiffSpec spec = ColumnarSpec();
   DiffConfig config;
   config.mode = ExecutionMode::kHmts;
   config.emit_batch_size = 64;
-  config.columnar = true;
 
   DiffSpec parsed_spec;
   DiffConfig parsed;
@@ -143,9 +142,9 @@ TEST(ColumnarReplayTest, RoundTripsColumnarField) {
       ParseReplay(FormatReplay(spec, config), &parsed_spec, &parsed, &error))
       << error;
   EXPECT_EQ(parsed_spec.seed, spec.seed);
-  EXPECT_TRUE(parsed.columnar);
+  EXPECT_EQ(parsed.emit_batch_size, 64u);
   EXPECT_EQ(parsed.Name(), config.Name());
-  EXPECT_NE(config.Name().find("+col"), std::string::npos);
+  EXPECT_NE(config.Name().find("+batch64"), std::string::npos);
 }
 
 }  // namespace

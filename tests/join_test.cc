@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "graph/query_graph.h"
@@ -148,6 +149,54 @@ TEST(ShjTest, ScheduleIndependentWindowBand) {
   // Within the band it does match.
   rig.left->Push(Tuple::OfInt(7, 950));
   EXPECT_EQ(rig.sink->size(), 1u);
+}
+
+/// Brute-force count of key-equal cross-side pairs within the window band.
+size_t BandPairs(const std::vector<Tuple>& left,
+                 const std::vector<Tuple>& right, AppTime window) {
+  size_t pairs = 0;
+  for (const Tuple& l : left) {
+    for (const Tuple& r : right) {
+      const AppTime delta = l.timestamp() - r.timestamp();
+      if (l.at(0) == r.at(0) && delta <= window && -delta <= window) ++pairs;
+    }
+  }
+  return pairs;
+}
+
+TEST(ShjTest, CrossingInputsKeepEveryPairInTheBand) {
+  // The left input runs a whole stream ahead of the right one (as when the
+  // two queues are drained by different threads): every right element
+  // arrives after left elements far newer than itself. Each side is
+  // timestamp-ordered, so the join must still find every pair in the
+  // window band — per tuple and with columnar batches alike.
+  constexpr AppTime kWindow = 10;
+  std::vector<Tuple> left;
+  std::vector<Tuple> right;
+  for (int i = 0; i < 100; ++i) {
+    left.push_back(Tuple::OfInt(i % 5, i));
+    right.push_back(Tuple::OfInt(i % 7 % 5, i + 3));
+  }
+  const size_t want = BandPairs(left, right, kWindow);
+  ASSERT_GT(want, 0u);
+  for (size_t batch : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    JoinRig rig;
+    rig.Wire<SymmetricHashJoin>("j", kWindow);
+    rig.left->SetBatchSize(batch);
+    rig.right->SetBatchSize(batch);
+    // Interleave in chunks with the left stream 60 elements ahead.
+    for (int i = 0; i < 100; i += 20) {
+      for (int j = i; j < i + 20; ++j) rig.left->Push(left[j]);
+      for (int j = std::max(i - 60, 0); j < i - 40; ++j) {
+        rig.right->Push(right[j]);
+      }
+    }
+    rig.left->Close(200);
+    for (int j = 40; j < 100; ++j) rig.right->Push(right[j]);
+    rig.right->Close(200);
+    EXPECT_EQ(rig.sink->size(), want);
+  }
 }
 
 TEST(SnjTest, ScheduleIndependentWindowBand) {

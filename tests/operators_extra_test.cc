@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <string>
+#include <vector>
 
 #include "graph/query_graph.h"
 #include "operators/count_window_aggregate.h"
@@ -78,6 +81,92 @@ TEST(RouterTest, EosStillBroadcasts) {
   src->Close(1);
   EXPECT_TRUE(a->closed());
   EXPECT_TRUE(b->closed());
+}
+
+/// Collects rows and counts the batches that delivered them.
+class BatchCountingSink : public CollectingSink {
+ public:
+  using CollectingSink::CollectingSink;
+  int batches = 0;
+
+ protected:
+  void ProcessColumnar(ColumnarBatchPtr batch, int port) override {
+    ++batches;
+    CollectingSink::ProcessColumnar(std::move(batch), port);
+  }
+};
+
+struct RoutedRun {
+  std::vector<std::vector<Tuple>> outputs;  // per subscriber, in order
+  int batches = 0;                          // summed over subscribers
+};
+
+/// Routes 64 (int key, string payload) rows through a Router with
+/// `fan_out` subscribers; `batch_size` > 1 feeds it columnar batches.
+RoutedRun RouteStream(size_t fan_out, bool sequencing, size_t batch_size) {
+  QueryGraph g;
+  Source* src = g.Add<Source>("src");
+  Router* router = g.Add<Router>("route", Router::HashAttr(0));
+  router->SetSequencing(sequencing);
+  EXPECT_TRUE(g.Connect(src, router).ok());
+  std::vector<BatchCountingSink*> sinks;
+  for (size_t i = 0; i < fan_out; ++i) {
+    sinks.push_back(g.Add<BatchCountingSink>("sink" + std::to_string(i)));
+    EXPECT_TRUE(g.Connect(router, sinks.back()).ok());
+  }
+  src->SetBatchSize(batch_size);
+  for (int i = 0; i < 64; ++i) {
+    src->Push(Tuple({Value(int64_t{i % 11}), Value("p" + std::to_string(i))},
+                    i));
+  }
+  src->Close(64);
+  RoutedRun run;
+  for (BatchCountingSink* sink : sinks) {
+    run.outputs.push_back(sink->TakeResults());
+    run.batches += sink->batches;
+  }
+  return run;
+}
+
+TEST(RouterTest, ColumnarScatterMatchesPerTupleRouting) {
+  for (size_t fan_out : {size_t{1}, size_t{4}}) {
+    for (bool sequencing : {false, true}) {
+      SCOPED_TRACE("fan_out=" + std::to_string(fan_out) +
+                   " sequencing=" + std::to_string(sequencing));
+      const RoutedRun rows = RouteStream(fan_out, sequencing, 1);
+      const RoutedRun cols = RouteStream(fan_out, sequencing, 8);
+      EXPECT_EQ(rows.batches, 0);
+      // 8 source batches; each scatters into at most fan_out runs.
+      EXPECT_GE(cols.batches, 8);
+      EXPECT_LE(cols.batches, static_cast<int>(8 * fan_out));
+      ASSERT_EQ(cols.outputs.size(), rows.outputs.size());
+      uint64_t min_seq = ~0ull;
+      for (const std::vector<Tuple>& out : cols.outputs) {
+        for (const Tuple& t : out) min_seq = std::min(min_seq, t.seq());
+      }
+      size_t total = 0;
+      for (size_t s = 0; s < fan_out; ++s) {
+        const std::vector<Tuple>& want = rows.outputs[s];
+        const std::vector<Tuple>& got = cols.outputs[s];
+        ASSERT_EQ(got.size(), want.size()) << "subscriber " << s;
+        total += got.size();
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].IntAt(0), want[i].IntAt(0));
+          EXPECT_EQ(got[i].StringAt(1), want[i].StringAt(1));
+          EXPECT_EQ(got[i].timestamp(), want[i].timestamp());
+          if (sequencing) {
+            // One bulk reservation per batch: stamps are the arrival
+            // index relative to the first stamp, as on the per-tuple path.
+            EXPECT_EQ(got[i].seq() - min_seq,
+                      static_cast<uint64_t>(got[i].timestamp()));
+          } else {
+            EXPECT_EQ(got[i].seq(), 0u);
+          }
+        }
+      }
+      EXPECT_EQ(total, 64u);
+    }
+  }
 }
 
 struct UnaryRig {

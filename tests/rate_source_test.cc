@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "graph/query_graph.h"
+#include "operators/latency_sink.h"
 #include "operators/sink.h"
 #include "operators/source.h"
 #include "util/busy_work.h"
@@ -150,6 +154,31 @@ TEST(RateSourceTest, RateTimelineRecordsBackpressure) {
   double peak = 0;
   for (const auto& [t, rate] : timeline) peak = std::max(peak, rate);
   EXPECT_LT(peak, 1500.0) << "achieved rate must fall below the schedule";
+}
+
+TEST(RateSourceTest, LateGeneratorLagShowsInLatency) {
+  // The generator needs 2 ms per element against a 0.5 ms schedule, so
+  // element i is emitted ~1.5 * i ms after its due time. Stamping the due
+  // time (not the emission instant) charges that lag to the measured
+  // latency instead of hiding it (coordinated omission).
+  QueryGraph g;
+  Source* src = g.Add<Source>("src");
+  const TimePoint epoch = Now();
+  LatencySink* sink = g.Add<LatencySink>("lat", /*offset_attr=*/1, epoch);
+  ASSERT_TRUE(g.Connect(src, sink).ok());
+  RateSource::Options opt;
+  opt.phases = {{40, 2000.0}};
+  opt.stamp_emit_offset = true;
+  opt.stamp_epoch = epoch;
+  RateSource driver(src, opt, [](int64_t index, AppTime ts, Rng*) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return Tuple({Value(index)}, ts);
+  });
+  driver.Run();
+  const Histogram h = sink->TakeHistogram();
+  ASSERT_EQ(h.count(), 40);
+  // Median lag is ~1.5 ms * 20 = 30 ms; a Now() stamp would read ~0.
+  EXPECT_GE(h.Percentile(0.5), 10000.0);
 }
 
 TEST(RateSourceTest, GeneratorReceivesIndexAndTimestamp) {

@@ -31,8 +31,8 @@
 #include "operators/symmetric_nl_join.h"
 #include "recovery/state_snapshot.h"
 #include "stats/report.h"
+#include "tuple/batch_pool.h"
 #include "tuple/tuple.h"
-#include "tuple/tuple_batch.h"
 #include "util/random.h"
 
 namespace flexstream {
@@ -159,13 +159,14 @@ class LaneFeeder : public Operator {
 
   /// Emits a whole pre-stamped batch (batch-delivery path).
   void FeedBatch(std::vector<std::pair<int64_t, uint64_t>> elements) {
-    TupleBatch batch;
+    ColumnarBatchPtr batch =
+        columnar::AcquireBatch(MakeSchema({Value::Type::kInt64}));
     for (auto& [value, seq] : elements) {
       Tuple tuple = Tuple::OfInt(value, static_cast<AppTime>(seq) + 1);
       tuple.set_seq(seq);
-      batch.PushBack(std::move(tuple));
+      EXPECT_TRUE(batch->AppendTuple(tuple));
     }
-    EmitBatch(std::move(batch));
+    EmitColumnar(std::move(batch));
   }
 
   void CloseLane(AppTime timestamp = 0) { EmitEos(timestamp); }

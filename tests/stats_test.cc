@@ -2,16 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 
 #include "graph/query_graph.h"
 #include "graph/random_dag.h"
 #include "operators/selection.h"
+#include "operators/sink.h"
 #include "operators/source.h"
 #include "operators/union_op.h"
 #include "stats/capacity.h"
 #include "stats/ewma.h"
 #include "stats/op_stats.h"
+#include "util/busy_work.h"
 
 namespace flexstream {
 namespace {
@@ -72,6 +75,32 @@ TEST(OpStatsTest, InterarrivalInfiniteBeforeTwoArrivals) {
   EXPECT_TRUE(std::isinf(s.InterarrivalMicros()));
   s.RecordArrival(t0 + FromMicros(100));
   EXPECT_NEAR(s.InterarrivalMicros(), 100.0, 1.0);
+}
+
+TEST(OpStatsTest, SubMicrosecondGapsAreNotTruncated) {
+  OpStats s;
+  const TimePoint t0 = Now();
+  s.RecordArrival(t0);
+  s.RecordArrival(t0 + std::chrono::nanoseconds(400));
+  EXPECT_NEAR(s.InterarrivalMicros(), 0.4, 1e-6);
+}
+
+TEST(OpStatsTest, SubMicrosecondCostIsNotTruncated) {
+  // Self time is measured in fractional microseconds: a 0.3 us per-tuple
+  // cost must not read as 0 (c(v) feeds the Chain and Segment strategies).
+  QueryGraph g;
+  Source* src = g.Add<Source>("src");
+  Selection* sel = g.Add<Selection>("sel", [](const Tuple&) { return true; });
+  CountingSink* sink = g.Add<CountingSink>("sink");
+  ASSERT_TRUE(g.Connect(src, sel).ok());
+  ASSERT_TRUE(g.Connect(sel, sink).ok());
+  sel->SetSimulatedCostMicros(0.3);
+  BurnMicros(0.3);  // calibrates the burn loop outside the measured runs
+  for (int i = 0; i < 200; ++i) src->Push(Tuple::OfInt(i, i));
+  src->Close(200);
+  EXPECT_EQ(sink->count(), 200);
+  EXPECT_GE(sel->stats().CostMicros(), 0.2);
+  EXPECT_GT(sel->stats().BusyMicros(), 0.0);
 }
 
 TEST(OpStatsTest, SelectivityRatio) {
